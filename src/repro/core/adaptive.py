@@ -45,21 +45,35 @@ class AccessTracker:
     Each recorded access adds one unit of weight to the accessed view after
     multiplying all existing weights by ``decay`` — recent accesses dominate,
     so workload drift shows up quickly.
+
+    Recording is O(1): weights are stored multiplied by one global scale
+    ``decay**-t``, so decaying every key is a single multiplication of the
+    scale.  When the scale grows past :attr:`RENORMALIZE_AT` the stored
+    weights are divided by it and it restarts at 1 (O(keys), once every
+    ``log(RENORMALIZE_AT) / log(1/decay)`` accesses).
     """
+
+    #: Scale at which stored weights are renormalized.
+    RENORMALIZE_AT = 1e100
 
     def __init__(self, decay: float = 0.99):
         if not 0.0 < decay <= 1.0:
             raise ValueError(f"decay must be in (0, 1], got {decay}")
         self.decay = decay
+        self._growth = 1.0 / decay
+        self._scale = 1.0
         self._weights: dict[ElementId, float] = {}
         self.total_accesses = 0
 
     def record(self, view: ElementId) -> None:
         """Record one access to ``view``."""
-        for key in self._weights:
-            self._weights[key] *= self.decay
-        self._weights[view] = self._weights.get(view, 0.0) + 1.0
+        scale = self._scale = self._scale * self._growth
+        self._weights[view] = self._weights.get(view, 0.0) + scale
         self.total_accesses += 1
+        if scale > self.RENORMALIZE_AT:
+            for key, weight in self._weights.items():
+                self._weights[key] = weight / scale
+            self._scale = 1.0
 
     def population(
         self, smoothing: float = 0.0, universe: list[ElementId] | None = None
@@ -72,9 +86,10 @@ class AccessTracker:
         """
         if not self._weights and not universe:
             raise ValueError("no accesses recorded and no universe given")
+        scale = self._scale
         views = list(universe) if universe else list(self._weights)
         pairs = [
-            (v, self._weights.get(v, 0.0) + smoothing) for v in views
+            (v, self._weights.get(v, 0.0) / scale + smoothing) for v in views
         ]
         positive = [(v, w) for v, w in pairs if w > 0]
         if not positive:

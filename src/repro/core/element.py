@@ -372,9 +372,17 @@ class ElementId:
     # ------------------------------------------------------------------
 
     def describe(self) -> str:
-        """Human-readable description, e.g. ``PR|P`` path notation."""
+        """Human-readable description, e.g. ``PR|P`` path notation.
+
+        Memoized: serving labels every query span with it.
+        """
+        try:
+            return self._description
+        except AttributeError:
+            pass
         paths = [self.path(m) or "." for m in range(self.shape.ndim)]
-        return "|".join(paths)
+        object.__setattr__(self, "_description", "|".join(paths))
+        return self._description
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ElementId({self.describe()!r}, shape={self.shape.sizes})"

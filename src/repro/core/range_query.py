@@ -100,6 +100,9 @@ class RangeQueryEngine:
         self.materialized = materialized
         self.assemble_missing = assemble_missing
         self._cache: dict[ElementId, np.ndarray] = {}
+        #: levels -> intermediate ElementId; bounded by the
+        #: ``prod(log2(n_m) + 1)`` level combinations of the cube.
+        self._elements: dict[tuple[int, ...], ElementId] = {}
 
     @property
     def shape(self) -> CubeShape:
@@ -181,11 +184,27 @@ class RangeQueryEngine:
         materialized = MaterializedSet.from_cube(cube_values, graph_elements)
         return cls(materialized)
 
+    def _element(self, levels: tuple[int, ...]) -> ElementId:
+        """The intermediate element at ``levels`` (memoized)."""
+        element = self._elements.get(levels)
+        if element is None:
+            element = self._elements[levels] = ElementId(
+                self.shape, tuple((k, 0) for k in levels)
+            )
+        return element
+
     def _intermediate(
-        self, levels: tuple[int, ...], counter: OpCounter | None
+        self,
+        levels: tuple[int, ...],
+        counter: OpCounter | None,
+        tally: list[int],
     ) -> np.ndarray:
-        element = ElementId(self.shape, tuple((k, 0) for k in levels))
-        registry = current_registry()
+        """The intermediate array at ``levels``.
+
+        ``tally`` counts ``[stored, cache hits]`` lookups; the caller
+        publishes the totals once per query.
+        """
+        element = self._element(levels)
         if element in self.materialized:
             try:
                 values = self.materialized.array(element)
@@ -194,27 +213,37 @@ class RangeQueryEngine:
                 # membership check and the read: fall through to assembly.
                 pass
             else:
-                registry.counter(
-                    "range_intermediate_stored_total",
-                    "dyadic lookups served by a stored intermediate element",
-                ).inc()
+                tally[0] += 1
                 return values
         cached = self._cache.get(element)
         if cached is not None:
-            registry.counter(
-                "range_intermediate_cache_hits_total",
-                "dyadic lookups served by a previously assembled intermediate",
-            ).inc()
+            tally[1] += 1
             return cached
         if not self.assemble_missing:
             raise KeyError(f"intermediate element {element!r} is not materialized")
-        registry.counter(
+        current_registry().counter(
             "range_intermediate_assembled_total",
             "intermediate elements assembled on demand",
         ).inc()
         values = self.materialized.assemble(element, counter=counter)
         self._cache[element] = values
         return values
+
+    @staticmethod
+    def _publish_tally(tally: list[int]) -> None:
+        """Bump the stored/hit lookup counters once for a whole query."""
+        stored, hits = tally
+        registry = current_registry()
+        if stored:
+            registry.counter(
+                "range_intermediate_stored_total",
+                "dyadic lookups served by a stored intermediate element",
+            ).inc(stored)
+        if hits:
+            registry.counter(
+                "range_intermediate_cache_hits_total",
+                "dyadic lookups served by a previously assembled intermediate",
+            ).inc(hits)
 
     def _levels_for(self, ranges) -> set[tuple[int, ...]]:
         """Distinct intermediate level combinations one range query touches."""
@@ -249,7 +278,7 @@ class RangeQueryEngine:
         """
         missing = []
         for levels in sorted(needed):
-            element = ElementId(self.shape, tuple((k, 0) for k in levels))
+            element = self._element(levels)
             if element in self.materialized or element in self._cache:
                 continue
             missing.append(element)
@@ -350,12 +379,16 @@ class RangeQueryEngine:
                     ).inc(len(assembled))
             total = 0.0
             cells = 0
-            for combo in itertools.product(*per_dim_blocks):
-                levels = tuple(level for level, _ in combo)
-                cell = tuple(idx for _, idx in combo)
-                values = self._intermediate(levels, own_counter)
-                total += float(values[cell])
-                cells += 1
+            tally = [0, 0]
+            try:
+                for combo in itertools.product(*per_dim_blocks):
+                    levels = tuple(level for level, _ in combo)
+                    cell = tuple(idx for _, idx in combo)
+                    values = self._intermediate(levels, own_counter, tally)
+                    total += float(values[cell])
+                    cells += 1
+            finally:
+                self._publish_tally(tally)
             if cells > 1:
                 own_counter.add(additions=cells - 1, label="range combine")
             if counter is not None:

@@ -33,11 +33,9 @@ the core modules costs one contextvar read per instrumented call.
 
 from __future__ import annotations
 
-from contextlib import ExitStack, contextmanager
-
 from .alerts import AlertEngine, BurnRateRule, ManualClock, default_rules
 from .cache import LRUCache
-from .events import EventLog, current_event_log, log_event
+from .events import _ACTIVE_EVENT_LOG, EventLog, current_event_log, log_event
 from .fingerprint import (
     FingerprintTracker,
     ProfileLibrary,
@@ -53,6 +51,7 @@ from .flight import (
     write_bundle,
 )
 from .metrics import (
+    _ACTIVE_REGISTRY,
     DEFAULT_BUCKETS,
     MAX_LABEL_SETS,
     Counter,
@@ -63,6 +62,7 @@ from .metrics import (
     default_registry,
 )
 from .tracing import (
+    _ACTIVE_TRACER,
     Span,
     Tracer,
     add_span_event,
@@ -140,18 +140,43 @@ class Observability:
         self.events = events if events is not None else EventLog(max_events=max_events)
         self.tracing = tracing
 
-    @contextmanager
-    def activate(self):
+    def activate(self) -> "_Activation":
         """Make this triple the ambient instrumentation target."""
-        with ExitStack() as stack:
-            stack.enter_context(self.registry.activate())
-            if self.tracing:
-                stack.enter_context(self.tracer.activate())
-            stack.enter_context(self.events.activate())
-            yield self
+        return _Activation(self)
 
     def reset(self) -> None:
         """Clear all metrics, finished spans, and logged events."""
         self.registry.clear()
         self.tracer.clear()
         self.events.clear()
+
+
+class _Activation:
+    """``with obs.activate():`` — sets the three ambient context variables.
+
+    Set directly and reset in reverse order on exit: this runs once per
+    served query, where a stack of generator context managers costs more
+    than the answer.
+    """
+
+    __slots__ = ("obs", "tokens")
+
+    def __init__(self, obs: Observability):
+        self.obs = obs
+
+    def __enter__(self) -> Observability:
+        obs = self.obs
+        self.tokens = (
+            _ACTIVE_REGISTRY.set(obs.registry),
+            _ACTIVE_TRACER.set(obs.tracer) if obs.tracing else None,
+            _ACTIVE_EVENT_LOG.set(obs.events),
+        )
+        return obs
+
+    def __exit__(self, *exc) -> bool:
+        registry, tracer, events = self.tokens
+        _ACTIVE_EVENT_LOG.reset(events)
+        if tracer is not None:
+            _ACTIVE_TRACER.reset(tracer)
+        _ACTIVE_REGISTRY.reset(registry)
+        return False

@@ -136,13 +136,25 @@ FAST_BUCKETS = 6
 
 
 class _RuleState:
-    """Bucketed (total, bad) counts for one rule (engine lock held)."""
+    """Bucketed (total, bad) counts for one rule (engine lock held).
+
+    Running sums make recording and evaluation O(1): the slow sums cover
+    every kept bucket and move as buckets are added and expire; the fast
+    sums cover the newest ``fast_buckets`` buckets that are still inside
+    the fast window, and shed the oldest of them as the window slides.
+    The clock must not run backwards.
+    """
 
     __slots__ = (
         "rule",
         "width",
         "keep",
         "buckets",
+        "slow_total",
+        "slow_bad",
+        "fast_total",
+        "fast_bad",
+        "fast_buckets",
         "firing",
         "fired_at",
         "firing_event",
@@ -152,42 +164,61 @@ class _RuleState:
         self.rule = rule
         self.width = rule.fast_window_s / FAST_BUCKETS
         self.keep = int(math.ceil(rule.slow_window_s / self.width))
-        self.buckets: deque = deque()  # (bucket_index, total, bad)
+        self.buckets: deque = deque()  # [bucket_index, total, bad]
+        self.slow_total = self.slow_bad = 0
+        self.fast_total = self.fast_bad = 0
+        self.fast_buckets = 0
         self.firing = False
         self.fired_at: float | None = None
         self.firing_event: dict | None = None
 
     def add(self, now: float, bad: bool) -> None:
         index = int(now // self.width)
-        if self.buckets and self.buckets[-1][0] == index:
-            b, total, bad_count = self.buckets[-1]
-            self.buckets[-1] = (b, total + 1, bad_count + bad)
+        bad = int(bad)
+        buckets = self.buckets
+        if buckets and buckets[-1][0] == index:
+            bucket = buckets[-1]
+            bucket[1] += 1
+            bucket[2] += bad
         else:
-            self.buckets.append((index, 1, int(bad)))
-        horizon = index - self.keep
-        while self.buckets and self.buckets[0][0] <= horizon:
-            self.buckets.popleft()
+            buckets.append([index, 1, bad])
+            self.fast_buckets += 1
+            horizon = index - self.keep
+            while buckets[0][0] <= horizon:
+                if self.fast_buckets == len(buckets):
+                    self._shed_fast()
+                _, total, bad_count = buckets.popleft()
+                self.slow_total -= total
+                self.slow_bad -= bad_count
+        self.slow_total += 1
+        self.slow_bad += bad
+        self.fast_total += 1
+        self.fast_bad += bad
+
+    def _shed_fast(self) -> None:
+        _, total, bad = self.buckets[-self.fast_buckets]
+        self.fast_total -= total
+        self.fast_bad -= bad
+        self.fast_buckets -= 1
+
+    def _slide_fast(self, index: int) -> None:
+        """Drop buckets at or below the fast window's floor from the sums."""
+        floor = index - FAST_BUCKETS
+        while self.fast_buckets and self.buckets[-self.fast_buckets][0] <= floor:
+            self._shed_fast()
 
     def window_counts(self, now: float) -> tuple[int, int, int, int]:
         """(fast_total, fast_bad, slow_total, slow_bad) as of ``now``."""
-        index = int(now // self.width)
-        fast_floor = index - FAST_BUCKETS
-        fast_total = fast_bad = slow_total = slow_bad = 0
-        for b, total, bad in self.buckets:
-            slow_total += total
-            slow_bad += bad
-            if b > fast_floor:
-                fast_total += total
-                fast_bad += bad
-        return fast_total, fast_bad, slow_total, slow_bad
+        self._slide_fast(int(now // self.width))
+        return self.fast_total, self.fast_bad, self.slow_total, self.slow_bad
 
 
 class AlertEngine:
     """Evaluates burn-rate rules over a stream of serving outcomes.
 
     ``record()`` is called once per finished query (the server does this
-    in its ``_serving`` bookkeeping) and is O(rules); full evaluation runs
-    every ``evaluate_every`` records.  Thread-safe; fire/resolve callbacks
+    in its per-query scope) and is O(rules), as is each evaluation, which
+    runs every ``evaluate_every`` records.  Thread-safe; fire/resolve callbacks
     run outside the lock and are exception-isolated.
     """
 
@@ -227,10 +258,8 @@ class AlertEngine:
         with self._lock:
             now = self.clock()
             self._records += 1
-            for rule in self.rules:
-                self._states[rule.name].add(
-                    now, rule.is_bad(outcome, latency_ms, degraded)
-                )
+            for state in self._states.values():
+                state.add(now, state.rule.is_bad(outcome, latency_ms, degraded))
             if self._records % self.evaluate_every == 0:
                 transitions = self._evaluate_locked(now)
         self._notify(transitions)
@@ -246,8 +275,8 @@ class AlertEngine:
     def _evaluate_locked(self, now: float) -> list[dict]:
         self._evaluations += 1
         transitions: list[dict] = []
-        for rule in self.rules:
-            state = self._states[rule.name]
+        for state in self._states.values():
+            rule = state.rule
             fast_total, fast_bad, slow_total, slow_bad = state.window_counts(
                 now
             )

@@ -26,12 +26,14 @@ range-heavy drifted regime; here is the tuning that won there" in
 
 Decay is tick-based and lazy (per-slot ``value * decay**(tick - last)``),
 so ``note_query`` is O(1) regardless of how many element keys are being
-tracked — the overhead gate (``bench_flight_overhead``) covers this
-path.
+tracked, and O(log n) when a new key evicts the lightest one — the
+overhead gate (``bench_flight_overhead``) covers this path.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
 import math
 import threading
@@ -118,6 +120,14 @@ class FingerprintTracker:
     count.  The element table is bounded: on overflow the lightest
     (effective-weight) key is evicted, which is exactly the key that
     least affects ``hot_share``.
+
+    Eviction is O(log n) through a heap holding one entry per key, ordered
+    by the tick-invariant score ``log(value) + last * log(1/decay)`` (the
+    log of the effective weight, minus ``tick * log(decay)``, which every
+    key shares), ties broken by insertion order.  A bump only raises a
+    key's score, so entries go stale low, never high: eviction pops the
+    lowest entry and, when its key was bumped since it was pushed,
+    re-pushes the current score instead of evicting.
     """
 
     def __init__(
@@ -135,6 +145,10 @@ class FingerprintTracker:
         self._tick = 0
         self._kinds = {kind: [0.0, 0] for kind in QUERY_KINDS}
         self._elements: dict = {}
+        # (score, insertion seq, last tick at push, key) per element key.
+        self._heap: list = []
+        self._seq = itertools.count()
+        self._log_inv_decay = -math.log(self.decay)
         self._ingest = [0.0, 0]
         self._divergence: float | None = None
         self._divergence_alpha = 0.2
@@ -161,15 +175,33 @@ class FingerprintTracker:
             if element_key is None:
                 return
             slot = self._elements.get(element_key)
-            if slot is None:
-                if len(self._elements) >= self.max_elements:
-                    lightest = min(
-                        self._elements, key=lambda k: self._effective(self._elements[k])
-                    )
-                    del self._elements[lightest]
-                    self.evicted_elements += 1
-                slot = self._elements[element_key] = [0.0, self._tick]
+            if slot is not None:
+                self._bump(slot, 1.0)
+                return
+            if len(self._elements) >= self.max_elements:
+                self._evict_lightest()
+                self.evicted_elements += 1
+            slot = self._elements[element_key] = [0.0, self._tick]
             self._bump(slot, 1.0)
+            heapq.heappush(
+                self._heap,
+                (self._score(slot), next(self._seq), slot[1], element_key),
+            )
+
+    def _score(self, slot: list) -> float:
+        """``log`` of the slot's weight, up to a term shared by every key."""
+        return math.log(slot[0]) + slot[1] * self._log_inv_decay
+
+    def _evict_lightest(self) -> None:
+        heap = self._heap
+        while True:
+            _, seq, last, key = heap[0]
+            slot = self._elements[key]
+            if slot[1] == last:
+                heapq.heappop(heap)
+                del self._elements[key]
+                return
+            heapq.heapreplace(heap, (self._score(slot), seq, slot[1], key))
 
     def note_ingest(self, cells: int) -> None:
         """Account one applied ingest batch of ``cells`` updates."""

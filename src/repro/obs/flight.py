@@ -112,6 +112,15 @@ class FlightRecorder:
         once ``min_samples`` have been seen."""
         self.tracer = tracer
         self.registry = registry
+        self._kept_total = (
+            registry.counter(
+                "flight_traces_kept_total",
+                "traces kept by the flight recorder, by keep reason",
+                lazy=True,
+            )
+            if registry is not None
+            else None
+        )
         self.max_traces = int(max_traces)
         self.head_sample = int(head_sample)
         self.slow_quantile = float(slow_quantile)
@@ -177,11 +186,8 @@ class FlightRecorder:
                 spans=spans,
             )
             self._kept.append(kept)
-        if kept is not None and self.registry is not None:
-            self.registry.counter(
-                "flight_traces_kept_total",
-                "traces kept by the flight recorder, by keep reason",
-            ).inc(reason=kept.reason)
+        if kept is not None and self._kept_total is not None:
+            self._kept_total.inc(reason=kept.reason)
 
     def _classify(
         self, root: Span, spans: tuple[Span, ...]

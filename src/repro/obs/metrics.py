@@ -23,6 +23,12 @@ Metrics accept optional ``**labels``; each distinct label combination is an
 independent time series.  All mutation goes through one registry lock, so
 concurrent query threads can share a server registry safely.
 
+Metric objects are stable handles: :meth:`MetricsRegistry.clear` unlists
+every metric and empties its series, and a cleared handle re-registers
+itself, with fresh series, on its next write.  A component can therefore
+bind its handles once (``lazy=True`` binds without listing the metric
+until it is first written) and keep using them across registry resets.
+
 Per-metric label cardinality is bounded (``MetricsRegistry(max_label_sets=
 ...)``): once a metric holds that many distinct label combinations, writes
 carrying *new* combinations fold into a single ``{overflow="true"}`` series
@@ -62,8 +68,27 @@ MAX_LABEL_SETS = 256
 OVERFLOW_KEY: LabelKey = (("overflow", "true"),)
 
 
+#: ``_label_key`` results for all-``str`` label sets, keyed by the
+#: keyword items as passed.  Bounded; past the bound keys are computed.
+_LABEL_KEYS: dict[tuple, LabelKey] = {}
+_MAX_CACHED_LABEL_KEYS = 4096
+
+
 def _label_key(labels: dict) -> LabelKey:
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+    if not labels:
+        return ()
+    items = tuple(labels.items())
+    for _, value in items:
+        # Only exact strings are cached: ``1``, ``1.0`` and ``True`` are
+        # equal dict keys but render as different label values.
+        if type(value) is not str:
+            return tuple(sorted((str(k), str(v)) for k, v in items))
+    key = _LABEL_KEYS.get(items)
+    if key is None:
+        key = tuple(sorted(items))
+        if len(_LABEL_KEYS) < _MAX_CACHED_LABEL_KEYS:
+            _LABEL_KEYS[items] = key
+    return key
 
 
 def _render_labels(key: LabelKey) -> str:
@@ -82,6 +107,7 @@ class _Metric:
         lock: threading.RLock,
         max_series: int | None = None,
         on_overflow=None,
+        registry: "MetricsRegistry | None" = None,
     ):
         self.name = name
         self.description = description
@@ -89,6 +115,18 @@ class _Metric:
         self._series: dict[LabelKey, float | dict] = {}
         self._max_series = max_series
         self._on_overflow = on_overflow
+        self._registry = registry
+        #: False while the registry does not list this metric (bound
+        #: lazily, or cleared); the next write lists it again.
+        self._listed = True
+
+    def _write_key(self, key: LabelKey) -> LabelKey:
+        """Re-list if unlisted, then apply the cardinality guard (lock held)."""
+        if not self._listed:
+            self._listed = True
+            if self._registry is not None:
+                self._registry._relist(self)
+        return key if key in self._series else self._admit(key)
 
     def _admit(self, key: LabelKey) -> LabelKey:
         """Cardinality guard (lock held): the key the write may use.
@@ -145,7 +183,7 @@ class Counter(_Metric):
             raise ValueError(f"counter {self.name} cannot decrease ({amount})")
         key = _label_key(labels)
         with self._lock:
-            key = self._admit(key)
+            key = self._write_key(key)
             self._series[key] = self._series.get(key, 0.0) + amount
 
     def value(self, **labels) -> float:
@@ -168,13 +206,13 @@ class Gauge(_Metric):
         """Set the labelled series to ``value``."""
         key = _label_key(labels)
         with self._lock:
-            self._series[self._admit(key)] = float(value)
+            self._series[self._write_key(key)] = float(value)
 
     def inc(self, amount: float = 1.0, **labels) -> None:
         """Adjust the labelled series by ``amount`` (may be negative)."""
         key = _label_key(labels)
         with self._lock:
-            key = self._admit(key)
+            key = self._write_key(key)
             self._series[key] = self._series.get(key, 0.0) + amount
 
     def value(self, **labels) -> float:
@@ -206,6 +244,7 @@ class Histogram(_Metric):
         buckets: tuple[float, ...] | None = None,
         max_series: int | None = None,
         on_overflow=None,
+        registry: "MetricsRegistry | None" = None,
     ):
         super().__init__(
             name,
@@ -213,6 +252,7 @@ class Histogram(_Metric):
             lock,
             max_series=max_series,
             on_overflow=on_overflow,
+            registry=registry,
         )
         bounds = DEFAULT_BUCKETS if buckets is None else tuple(
             sorted(float(b) for b in buckets)
@@ -227,7 +267,7 @@ class Histogram(_Metric):
         key = _label_key(labels)
         index = bisect_right(self.bounds, value)
         with self._lock:
-            key = self._admit(key)
+            key = self._write_key(key)
             stats = self._series.get(key)
             if stats is None:
                 stats = {
@@ -333,12 +373,19 @@ class MetricsRegistry:
 
     ``counter``/``gauge``/``histogram`` are idempotent: asking for an
     existing name returns the existing metric (and raises ``TypeError``
-    when the name is already registered as a different kind).
+    when the name is already registered as a different kind).  With
+    ``lazy=True`` they return the handle without listing it: the metric
+    appears in :meth:`names` / :meth:`snapshot` on its first write, so a
+    component can bind every handle it may need up front without
+    exporting metrics it never writes.
     """
 
     def __init__(self, max_label_sets: int | None = MAX_LABEL_SETS):
         self._lock = threading.RLock()
         self._metrics: dict[str, _Metric] = {}
+        #: Known but unlisted handles (bound lazily, or cleared), by name;
+        #: asking for the name again returns the same object.
+        self._unlisted: dict[str, _Metric] = {}
         #: Per-metric bound on distinct label combinations (``None`` =
         #: unbounded, the pre-guard behaviour).
         self.max_label_sets = max_label_sets
@@ -350,16 +397,13 @@ class MetricsRegistry:
         counter itself is created unguarded so accounting the overflow can
         never overflow.
         """
-        counter = self._metrics.get("metrics_dropped_series_total")
-        if counter is None:
-            counter = Counter(
-                "metrics_dropped_series_total",
-                "metric writes folded into an overflow series by the "
-                "label-cardinality guard",
-                self._lock,
-            )
-            self._metrics["metrics_dropped_series_total"] = counter
-        counter.inc(metric=metric_name)
+        self._get_or_create(
+            Counter,
+            "metrics_dropped_series_total",
+            "metric writes folded into an overflow series by the "
+            "label-cardinality guard",
+            guarded=False,
+        ).inc(metric=metric_name)
 
     def dropped_series_total(self) -> float:
         """Writes the cardinality guard folded, across all metrics."""
@@ -367,60 +411,79 @@ class MetricsRegistry:
             counter = self._metrics.get("metrics_dropped_series_total")
         return float(counter.total()) if counter is not None else 0.0
 
-    def _get_or_create(self, cls, name: str, description: str) -> _Metric:
+    def _relist(self, metric: _Metric) -> None:
+        """List an unlisted metric on its first write (lock held).
+
+        A name since taken by a metric of another kind keeps this handle
+        detached: its writes land on the handle only.
+        """
+        if metric.name not in self._metrics:
+            self._unlisted.pop(metric.name, None)
+            self._metrics[metric.name] = metric
+
+    def _get_or_create(
+        self,
+        cls,
+        name: str,
+        description: str,
+        lazy: bool = False,
+        guarded: bool = True,
+        **extra,
+    ) -> _Metric:
         with self._lock:
             metric = self._metrics.get(name)
-            if metric is None:
+            if metric is not None:
+                if not isinstance(metric, cls):
+                    raise TypeError(
+                        f"metric {name!r} already registered as {metric.kind}"
+                    )
+                return metric
+            metric = self._unlisted.get(name)
+            if metric is None or not isinstance(metric, cls):
                 metric = cls(
                     name,
                     description,
                     self._lock,
-                    max_series=self.max_label_sets,
+                    max_series=self.max_label_sets if guarded else None,
                     on_overflow=self._note_series_overflow,
+                    registry=self,
+                    **extra,
                 )
-                self._metrics[name] = metric
-            elif not isinstance(metric, cls):
-                raise TypeError(
-                    f"metric {name!r} already registered as {metric.kind}"
-                )
+                metric._listed = False
+                self._unlisted[name] = metric
+            if not lazy:
+                metric._listed = True
+                self._relist(metric)
             return metric
 
-    def counter(self, name: str, description: str = "") -> Counter:
+    def counter(
+        self, name: str, description: str = "", *, lazy: bool = False
+    ) -> Counter:
         """Get or create the named :class:`Counter`."""
-        return self._get_or_create(Counter, name, description)
+        return self._get_or_create(Counter, name, description, lazy=lazy)
 
-    def gauge(self, name: str, description: str = "") -> Gauge:
+    def gauge(
+        self, name: str, description: str = "", *, lazy: bool = False
+    ) -> Gauge:
         """Get or create the named :class:`Gauge`."""
-        return self._get_or_create(Gauge, name, description)
+        return self._get_or_create(Gauge, name, description, lazy=lazy)
 
     def histogram(
         self,
         name: str,
         description: str = "",
         buckets: tuple[float, ...] | None = None,
+        *,
+        lazy: bool = False,
     ) -> Histogram:
         """Get or create the named :class:`Histogram`.
 
         ``buckets`` (upper bounds; +Inf is implicit) only takes effect at
         creation — later calls return the existing histogram unchanged.
         """
-        with self._lock:
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = Histogram(
-                    name,
-                    description,
-                    self._lock,
-                    buckets,
-                    max_series=self.max_label_sets,
-                    on_overflow=self._note_series_overflow,
-                )
-                self._metrics[name] = metric
-            elif not isinstance(metric, Histogram):
-                raise TypeError(
-                    f"metric {name!r} already registered as {metric.kind}"
-                )
-            return metric
+        return self._get_or_create(
+            Histogram, name, description, lazy=lazy, buckets=buckets
+        )
 
     def get(self, name: str) -> _Metric | None:
         """The named metric, or ``None`` when absent."""
@@ -433,8 +496,16 @@ class MetricsRegistry:
             return tuple(sorted(self._metrics))
 
     def clear(self) -> None:
-        """Drop every metric (tests and long-lived servers)."""
+        """Drop every metric (tests and long-lived servers).
+
+        The metric objects survive unlisted with empty series, so handles
+        bound before the clear re-register themselves on their next write.
+        """
         with self._lock:
+            for metric in self._metrics.values():
+                metric._series = {}
+                metric._listed = False
+            self._unlisted.update(self._metrics)
             self._metrics.clear()
 
     def snapshot(self) -> dict:

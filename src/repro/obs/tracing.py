@@ -42,6 +42,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 
+from .metrics import current_registry
+
 __all__ = [
     "Span",
     "Tracer",
@@ -54,7 +56,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed, attributed operation; part of a tree via ``parent_id``.
 
@@ -148,6 +150,8 @@ class Tracer:
         #: Finish listeners (flight recorder, site profiler), stored as an
         #: immutable tuple so the hot path reads it without the lock.
         self._listeners: tuple = ()
+        #: ``(registry, tracer_dropped_spans counter)`` last written.
+        self._dropped_counter: tuple | None = None
 
     # ------------------------------------------------------------------
     # Recording
@@ -174,65 +178,38 @@ class Tracer:
 
     def _finish(self, span: Span) -> None:
         with self._lock:
-            if (
-                self.finished.maxlen is not None
-                and len(self.finished) == self.finished.maxlen
-            ):
+            finished = self.finished
+            dropped = len(finished) == finished.maxlen
+            if dropped:
                 self.dropped_spans += 1
-                dropped = True
-            else:
-                dropped = False
-            self.finished.append(span)
+            finished.append(span)
             listeners = self._listeners
         if dropped:
-            # Local import to avoid a metrics<->tracing import cycle.
-            from .metrics import current_registry
-
-            current_registry().counter(
-                "tracer_dropped_spans",
-                "finished spans evicted from the tracer ring buffer",
-            ).inc()
+            # Once the ring is full every span drops one: keep the
+            # counter handle of the last registry written to.
+            registry = current_registry()
+            bound = self._dropped_counter
+            if bound is None or bound[0] is not registry:
+                bound = self._dropped_counter = (
+                    registry,
+                    registry.counter(
+                        "tracer_dropped_spans",
+                        "finished spans evicted from the tracer ring buffer",
+                    ),
+                )
+            bound[1].inc()
         for listener in listeners:
             try:
                 listener(span)
             except Exception:
                 pass
 
-    @contextmanager
-    def span(self, name: str, **attributes):
+    def span(self, name: str, **attributes) -> "_SpanScope":
         """Open a child span of whatever span is currently active.
 
         A span opened with no active parent starts a new trace.
         """
-        parent = _ACTIVE_SPAN.get()
-        thread = threading.current_thread()
-        current = Span(
-            name=name,
-            span_id=next(self._ids),
-            trace_id=(
-                parent.trace_id if parent is not None else next(self._trace_ids)
-            ),
-            parent_id=parent.span_id if parent is not None else None,
-            start=time.perf_counter(),
-            attributes=dict(attributes),
-            thread_id=thread.ident or 0,
-            thread_name=thread.name,
-            process_id=os.getpid(),
-        )
-        token = _ACTIVE_SPAN.set(current)
-        try:
-            yield current
-        except BaseException as exc:
-            # Self-recorded failure: a span that ended in an exception
-            # carries the exception type, so tail-biased consumers (the
-            # flight recorder) can keep failed traces without the serving
-            # code annotating every error path by hand.
-            current.attributes.setdefault("error", type(exc).__name__)
-            raise
-        finally:
-            current.end = time.perf_counter()
-            _ACTIVE_SPAN.reset(token)
-            self._finish(current)
+        return _SpanScope(self, name, attributes)
 
     def next_span_id(self) -> int:
         """Allocate a span id for externally recorded (remote) work."""
@@ -310,6 +287,64 @@ class Tracer:
             agg["mean_ms"] = agg["total_ms"] / agg["count"]
         return out
 
+
+class _SpanScope:
+    """The context manager :meth:`Tracer.span` returns (one per span)."""
+
+    __slots__ = ("tracer", "name", "attributes", "current", "token")
+
+    def __init__(self, tracer: Tracer, name: str, attributes: dict):
+        self.tracer = tracer
+        self.name = name
+        self.attributes = attributes
+
+    def __enter__(self) -> Span:
+        parent = _ACTIVE_SPAN.get()
+        thread = threading.current_thread()
+        tracer = self.tracer
+        if parent is None:
+            trace_id, parent_id = next(tracer._trace_ids), None
+        else:
+            trace_id, parent_id = parent.trace_id, parent.span_id
+        current = self.current = Span(
+            self.name,
+            next(tracer._ids),
+            trace_id,
+            parent_id,
+            time.perf_counter(),
+            None,
+            self.attributes,
+            [],
+            thread.ident or 0,
+            thread.name,
+            _PID,
+        )
+        self.token = _ACTIVE_SPAN.set(current)
+        return current
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        current = self.current
+        if exc_type is not None:
+            # Self-recorded failure: a span that ended in an exception
+            # carries the exception type, so tail-biased consumers (the
+            # flight recorder) can keep failed traces without the serving
+            # code annotating every error path by hand.
+            current.attributes.setdefault("error", exc_type.__name__)
+        current.end = time.perf_counter()
+        _ACTIVE_SPAN.reset(self.token)
+        self.tracer._finish(current)
+        return False
+
+
+def _refresh_pid() -> None:
+    global _PID
+    _PID = os.getpid()
+
+
+#: This process's id, stamped on every span; refreshed in a forked child.
+_PID = os.getpid()
+if hasattr(os, "register_at_fork"):  # POSIX; spawned children re-import
+    os.register_at_fork(after_in_child=_refresh_pid)
 
 _ACTIVE_TRACER: ContextVar[Tracer | None] = ContextVar(
     "repro_obs_tracer", default=None

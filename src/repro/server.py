@@ -123,7 +123,12 @@ from .tuning import DEFAULT_TUNING, TuningConfig
 
 __all__ = ["OLAPServer", "ServerStats"]
 
-#: Per-query flag bucket for the serving context: ``_serving`` installs a
+#: Bound of each request -> ElementId memo of a server.  Valid view
+#: requests number at most ``2**d``; the bound only caps roll-up level
+#: maps spelled many ways.
+_RESOLVE_MEMO_ENTRIES = 1024
+
+#: Per-query flag bucket for the serving context: ``_query`` installs a
 #: fresh dict, resilience paths mark it (``degraded``), and the alert feed
 #: reads it — without threading a handle through every serve method.
 _SERVING_FLAGS: ContextVar[dict | None] = ContextVar(
@@ -294,6 +299,44 @@ class OLAPServer:
         self.obs = observability if observability is not None else Observability()
         self.metrics = self.obs.registry
         self.tracer = self.obs.tracer
+        # Per-query metric handles, bound once.  Lazy: each is listed in
+        # the registry on its first write, and again after a reset.
+        bind = self.metrics
+        self._m_queries = bind.counter(
+            "server_queries_total", "queries served, by kind", lazy=True
+        )
+        self._m_operations = bind.counter(
+            "server_operations_total",
+            "scalar operations spent serving",
+            lazy=True,
+        )
+        self._m_batches = bind.counter(
+            "server_batches_total", "batch requests served, by kind", lazy=True
+        )
+        self._m_latency = bind.histogram(
+            "server_latency_ms", "wall milliseconds per served call", lazy=True
+        )
+        self._m_timeouts = bind.counter(
+            "server_timeouts_total",
+            "queries cancelled by their deadline",
+            lazy=True,
+        )
+        self._m_rejected = bind.counter(
+            "server_admission_rejected_total",
+            "queries rejected at the admission bound",
+            lazy=True,
+        )
+        self._m_in_flight = bind.gauge(
+            "server_in_flight", "queries currently admitted", lazy=True
+        )
+        self._m_quarantined = bind.gauge(
+            "server_quarantined_elements",
+            "stored elements currently quarantined by integrity checks",
+            lazy=True,
+        )
+        # Request -> ElementId memos (valid requests only; see _resolve).
+        self._view_elements: dict = {}
+        self._rollup_elements: dict = {}
         # Incident observability: flight recorder + site profiler ride the
         # tracer's finish-listener stream, so they attach only when this
         # server actually traces (the telemetry-off baseline pays nothing).
@@ -446,29 +489,18 @@ class OLAPServer:
     # ------------------------------------------------------------------
     # Admission, deadlines, retries
 
-    @contextmanager
-    def _admit(self, kind: str):
-        """Hold one admission slot for the duration of a query.
+    def _acquire_slot(self, kind: str) -> None:
+        """Take one admission slot (only called with ``max_in_flight`` set).
 
-        With no ``max_in_flight`` this is free.  At capacity, waits up to
-        ``admission_wait_ms`` (0 = fail-fast) and then raises
-        :class:`AdmissionRejected`; the slot is always released on exit —
-        including when the query times out or fails."""
-        if self._admission is None:
-            yield
-            return
+        Waits up to ``admission_wait_ms`` (0 = fail-fast) and then raises
+        :class:`AdmissionRejected`; :meth:`_query` releases the slot on
+        exit — including when the query times out or fails."""
         wait = self.admission_wait_ms / 1e3
         acquired = self._admission.acquire(
             blocking=wait > 0, timeout=wait if wait > 0 else None
         )
-        gauge = self.metrics.gauge(
-            "server_in_flight", "queries currently admitted"
-        )
         if not acquired:
-            self.metrics.counter(
-                "server_admission_rejected_total",
-                "queries rejected at the admission bound",
-            ).inc(kind=kind)
+            self._m_rejected.inc(kind=kind)
             log_event(
                 "admission_rejected", kind=kind, limit=self.max_in_flight
             )
@@ -476,12 +508,11 @@ class OLAPServer:
                 f"server at capacity ({self.max_in_flight} in flight)",
                 limit=self.max_in_flight,
             )
-        gauge.inc(1)
-        try:
-            yield
-        finally:
-            self._admission.release()
-            gauge.inc(-1)
+        self._m_in_flight.inc(1)
+
+    def _release_slot(self) -> None:
+        self._admission.release()
+        self._m_in_flight.inc(-1)
 
     def _deadline_for(self, deadline_ms: float | None) -> Deadline | None:
         if deadline_ms is None:
@@ -491,46 +522,61 @@ class OLAPServer:
         return Deadline.after(deadline_ms / 1e3)
 
     @contextmanager
-    def _serving(self, kind: str, deadline_ms: float | None):
-        """Admission + deadline + timeout + latency accounting per query.
+    def _query(
+        self, kind: str, deadline_ms: float | None, name: str, **attributes
+    ):
+        """The one per-query scope; yields the query's span.
 
-        Every admitted call — served, timed out, or failed — lands one
+        In order: activate this server's observability, take an admission
+        slot (only with ``max_in_flight``), enter the deadline (only with
+        one set), open the ``name`` span labelled with ``kind``.  Every
+        admitted call — served, timed out, or failed — lands one
         observation in the ``server_latency_ms`` histogram (labelled by
         kind and outcome), which is where :meth:`health`'s SLO quantiles
-        come from.
+        come from, and one record in the alert engine.
         """
-        start = time.perf_counter()
-        outcome = "ok"
-        flags = {"degraded": False}
-        token = _SERVING_FLAGS.set(flags)
-        try:
-            with self._admit(kind), deadline_scope(
-                self._deadline_for(deadline_ms)
-            ):
-                yield
-        except QueryTimeout:
-            outcome = "timeout"
-            self.metrics.counter(
-                "server_timeouts_total", "queries cancelled by their deadline"
-            ).inc(kind=kind)
-            log_event("deadline_missed", kind=kind, deadline_ms=deadline_ms)
-            raise
-        except AdmissionRejected:
-            outcome = "rejected"
-            raise
-        except BaseException:
-            outcome = "error"
-            raise
-        finally:
-            _SERVING_FLAGS.reset(token)
-            latency_ms = (time.perf_counter() - start) * 1e3
-            self.metrics.histogram(
-                "server_latency_ms", "wall milliseconds per served call"
-            ).observe(latency_ms, kind=kind, outcome=outcome)
-            if self.alerts is not None:
-                self.alerts.record(
-                    outcome, latency_ms, degraded=flags["degraded"]
+        with self.obs.activate():
+            start = time.perf_counter()
+            outcome = "ok"
+            flags = {"degraded": False}
+            token = _SERVING_FLAGS.set(flags)
+            admitted = False
+            try:
+                if self._admission is not None:
+                    self._acquire_slot(kind)
+                    admitted = True
+                deadline = self._deadline_for(deadline_ms)
+                if deadline is None:
+                    with span(name, kind=kind, **attributes) as sp:
+                        yield sp
+                else:
+                    with deadline_scope(deadline), span(
+                        name, kind=kind, **attributes
+                    ) as sp:
+                        yield sp
+            except QueryTimeout:
+                outcome = "timeout"
+                self._m_timeouts.inc(kind=kind)
+                log_event(
+                    "deadline_missed", kind=kind, deadline_ms=deadline_ms
                 )
+                raise
+            except AdmissionRejected:
+                outcome = "rejected"
+                raise
+            except BaseException:
+                outcome = "error"
+                raise
+            finally:
+                if admitted:
+                    self._release_slot()
+                _SERVING_FLAGS.reset(token)
+                latency_ms = (time.perf_counter() - start) * 1e3
+                self._m_latency.observe(latency_ms, kind=kind, outcome=outcome)
+                if self.alerts is not None:
+                    self.alerts.record(
+                        outcome, latency_ms, degraded=flags["degraded"]
+                    )
 
     def _backoff(self, attempt: int) -> None:
         """Exponential backoff bounded by the remaining deadline."""
@@ -654,8 +700,31 @@ class OLAPServer:
     # ------------------------------------------------------------------
     # Query surface
 
+    @staticmethod
+    def _resolve(memo: dict, key, resolve) -> ElementId:
+        """``memo[key]``, else ``resolve()`` stored under ``key``.
+
+        An invalid request raises from ``resolve`` and is never stored, so
+        it raises again on every call.  The memo is cleared when it
+        reaches :data:`_RESOLVE_MEMO_ENTRIES`.
+        """
+        element = memo.get(key)
+        if element is None:
+            element = resolve()
+            if len(memo) >= _RESOLVE_MEMO_ENTRIES:
+                memo.clear()
+            memo[key] = element
+        return element
+
     def _element_for(self, retained_dims: Iterable[str]) -> ElementId:
-        retained = set(retained_dims)
+        retained = frozenset(retained_dims)
+        return self._resolve(
+            self._view_elements,
+            retained,
+            lambda: self._view_element(retained),
+        )
+
+    def _view_element(self, retained: frozenset) -> ElementId:
         unknown = retained - set(self.cube.dimensions.names)
         if unknown:
             raise KeyError(f"unknown dimensions {sorted(unknown)}")
@@ -665,6 +734,17 @@ class OLAPServer:
             if name not in retained
         ]
         return self.shape.aggregated_view(aggregated)
+
+    def _rollup_for(self, levels: Mapping[str, str | int]) -> ElementId:
+        try:
+            key = frozenset(levels.items())
+        except TypeError:  # unhashable level: resolve (and raise) uncached
+            return rollup_element(self.cube, levels)
+        return self._resolve(
+            self._rollup_elements,
+            key,
+            lambda: rollup_element(self.cube, levels),
+        )
 
     def view(
         self,
@@ -683,7 +763,7 @@ class OLAPServer:
     ) -> np.ndarray:
         """Roll-up to named or numeric hierarchy levels per dimension."""
         return self._serve_element(
-            rollup_element(self.cube, levels), "rollup", deadline_ms
+            self._rollup_for(levels), "rollup", deadline_ms
         )
 
     def query_batch(
@@ -739,7 +819,7 @@ class OLAPServer:
         Batch analogue of :meth:`rollup`; see :meth:`query_batch` for the
         executor passthrough arguments.
         """
-        elements = [rollup_element(self.cube, levels) for levels in levels_list]
+        elements = [self._rollup_for(levels) for levels in levels_list]
         return self._serve_batch(
             elements,
             "rollup",
@@ -774,18 +854,16 @@ class OLAPServer:
         assemble contract already says "treat as read-only"), so hits are
         bit-identical to misses and cost zero scalar operations.
         """
-        with self.obs.activate(), self._serving(kind, deadline_ms), span(
-            "server.query", kind=kind, element=element.describe()
+        with self._query(
+            kind, deadline_ms, "server.query", element=element.describe()
         ) as sp:
-            self.metrics.counter(
-                "server_queries_total", "queries served, by kind"
-            ).inc(kind=kind)
+            self._m_queries.inc(kind=kind)
             self.fingerprints.note_query(kind, (kind, element))
             state = self._state
             key = (element, state.epoch)
             cached = self._cache_get(state, key)
             if cached is not None:
-                self._account(element, OpCounter(), state)
+                self._account(element, 0, state)
                 sp.set(cache="hit", operations=0)
                 return cached
             counter = OpCounter()
@@ -793,7 +871,7 @@ class OLAPServer:
                 state.materialized, element, counter
             )
             state.cache.put(key, values)
-            self._account(element, counter, state)
+            self._account(element, counter.total, state)
             sp.set(cache="miss", operations=counter.total)
             return values
 
@@ -815,12 +893,10 @@ class OLAPServer:
         """
         if max_workers is None:
             max_workers = self.tuning.max_workers
-        with self.obs.activate(), self._serving(kind, deadline_ms), span(
-            "server.query_batch", kind=kind, requests=len(elements)
+        with self._query(
+            kind, deadline_ms, "server.query_batch", requests=len(elements)
         ) as sp:
-            self.metrics.counter(
-                "server_queries_total", "queries served, by kind"
-            ).inc(len(elements), kind=kind)
+            self._m_queries.inc(len(elements), kind=kind)
             for element in elements:
                 self.fingerprints.note_query(kind, (kind, element))
             state = self._state
@@ -853,12 +929,8 @@ class OLAPServer:
                 self.stats.operations += counter.total
                 for element in elements:
                     self.tracker.record(element)
-            self.metrics.counter(
-                "server_operations_total", "scalar operations spent serving"
-            ).inc(counter.total)
-            self.metrics.counter(
-                "server_batches_total", "batch requests served, by kind"
-            ).inc(kind=kind)
+            self._m_operations.inc(counter.total)
+            self._m_batches.inc(kind=kind)
             self._sync_degradation_gauge(state)
             sp.set(
                 cache_hits=hits,
@@ -869,12 +941,8 @@ class OLAPServer:
 
     def range_sum(self, ranges, deadline_ms: float | None = None) -> float:
         """SUM over a multi-dimensional half-open coordinate range."""
-        with self.obs.activate(), self._serving("range", deadline_ms), span(
-            "server.query", kind="range"
-        ) as sp:
-            self.metrics.counter(
-                "server_queries_total", "queries served, by kind"
-            ).inc(kind="range")
+        with self._query("range", deadline_ms, "server.query") as sp:
+            self._m_queries.inc(kind="range")
             state = self._state
             ranges = tuple((int(lo), int(hi)) for lo, hi in ranges)
             self.fingerprints.note_query("range", ("range", ranges))
@@ -907,9 +975,7 @@ class OLAPServer:
             with self._stats_lock:
                 self.stats.queries += 1
                 self.stats.operations += counter.total
-            self.metrics.counter(
-                "server_operations_total", "scalar operations spent serving"
-            ).inc(counter.total)
+            self._m_operations.inc(counter.total)
             self._sync_degradation_gauge(state)
             sp.set(operations=counter.total, cells_read=cells_read)
             return value
@@ -919,25 +985,17 @@ class OLAPServer:
         return self.cube.cell(**coordinates)
 
     def _account(
-        self,
-        element: ElementId,
-        counter: OpCounter,
-        state: _ServingState | None = None,
+        self, element: ElementId, operations: int, state: _ServingState
     ) -> None:
         with self._stats_lock:
             self.stats.queries += 1
-            self.stats.operations += counter.total
+            self.stats.operations += operations
             self.tracker.record(element)
-        self.metrics.counter(
-            "server_operations_total", "scalar operations spent serving"
-        ).inc(counter.total)
-        self._sync_degradation_gauge(state if state is not None else self._state)
+        self._m_operations.inc(operations)
+        self._sync_degradation_gauge(state)
 
     def _sync_degradation_gauge(self, state: _ServingState) -> None:
-        self.metrics.gauge(
-            "server_quarantined_elements",
-            "stored elements currently quarantined by integrity checks",
-        ).set(len(state.materialized.quarantined))
+        self._m_quarantined.set(len(state.materialized.quarantined))
 
     # ------------------------------------------------------------------
     # Reconfiguration
@@ -1752,9 +1810,7 @@ class OLAPServer:
             self.metrics.counter(
                 "server_updates_total", "incremental cell updates applied"
             ).inc(len(deltas))
-            self.metrics.counter(
-                "server_operations_total", "scalar operations spent serving"
-            ).inc(counter.total)
+            self._m_operations.inc(counter.total)
             log_event(
                 "update",
                 cells=len(deltas),

@@ -4,9 +4,43 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.adaptive import AccessTracker, DynamicViewAssembler
 from repro.core.element import CubeShape
+
+VIEWS_2X2X2 = list(CubeShape((2, 2, 2)).aggregated_views())
+
+
+class EagerTracker:
+    """Reference: decays every tracked key on every access, O(keys)."""
+
+    def __init__(self, decay: float):
+        self.decay = decay
+        self.weights: dict = {}
+
+    def record(self, view) -> None:
+        for key in self.weights:
+            self.weights[key] *= self.decay
+        self.weights[view] = self.weights.get(view, 0.0) + 1.0
+
+
+def assert_matches_eager(decay: float, stream: list[int]) -> AccessTracker:
+    tracker, eager = AccessTracker(decay=decay), EagerTracker(decay)
+    for i in stream:
+        tracker.record(VIEWS_2X2X2[i])
+        eager.record(VIEWS_2X2X2[i])
+    for smoothing, universe in ((0.0, None), (0.01, VIEWS_2X2X2)):
+        got = tracker.population(smoothing=smoothing, universe=universe)
+        total = sum(eager.weights.get(v, 0.0) + smoothing for v in (
+            universe or eager.weights
+        ))
+        assert len(got) == len(universe or eager.weights)
+        for view, frequency in got:
+            want = (eager.weights.get(view, 0.0) + smoothing) / total
+            assert frequency == pytest.approx(want, rel=1e-12, abs=0.0)
+    return tracker
 
 
 @pytest.fixture
@@ -56,6 +90,28 @@ class TestAccessTracker:
     def test_empty_tracker_raises(self):
         with pytest.raises(ValueError, match="no accesses"):
             AccessTracker().population()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        decay=st.sampled_from([0.5, 0.9, 0.98, 0.999, 1.0]),
+        stream=st.lists(st.integers(0, 7), min_size=1, max_size=900),
+    )
+    def test_population_matches_eager_reference(self, decay, stream):
+        assert_matches_eager(decay, stream)
+
+    def test_matches_eager_across_renormalization(self):
+        rng = np.random.default_rng(5)
+        stream = [int(i) for i in rng.integers(0, 8, size=900)]
+        tracker = assert_matches_eager(0.5, stream)
+        # Unrenormalized, the scale would be 2**900 > RENORMALIZE_AT.
+        assert 1.0 <= tracker._scale <= AccessTracker.RENORMALIZE_AT
+
+    def test_no_decay_counts_exactly(self):
+        stream = [0, 3, 3, 7, 3, 0]
+        tracker = assert_matches_eager(1.0, stream)
+        population = tracker.population()
+        assert population.frequency_of(VIEWS_2X2X2[3]) == 0.5
+        assert tracker.total_accesses == len(stream)
 
 
 class TestDynamicViewAssembler:

@@ -8,6 +8,7 @@ converges close enough that ``nearest()`` picks the right entry, and
 ``health()`` surfaces it.
 """
 
+import numpy as np
 import pytest
 
 from repro.obs import Tracer
@@ -95,6 +96,45 @@ class TestFingerprintTracker:
         assert len(tracker._elements) == 4
         assert tracker.evicted_elements == 7
         assert heavy in tracker._elements  # the heavy key survives
+
+    @pytest.mark.parametrize("decay", [0.995, 1.0])
+    def test_heap_eviction_matches_min_scan(self, decay):
+        """Same victims as the O(n) scan over every slot it replaced."""
+
+        class MinScanTracker(FingerprintTracker):
+            def note_query(self, kind, element_key=None):
+                with self._lock:
+                    self._tick += 1
+                    self.queries += 1
+                    self._bump(self._kinds[kind], 1.0)
+                    slot = self._elements.get(element_key)
+                    if slot is None:
+                        if len(self._elements) >= self.max_elements:
+                            lightest = min(
+                                self._elements,
+                                key=lambda k: self._effective(self._elements[k]),
+                            )
+                            del self._elements[lightest]
+                            self.evicted_elements += 1
+                        slot = self._elements[element_key] = [0.0, self._tick]
+                    self._bump(slot, 1.0)
+
+        rng = np.random.default_rng(2024)
+        # Zipf-skewed keys over a universe wider than the table: hot keys
+        # stay, the long tail churns through eviction.
+        keys = rng.zipf(1.3, size=5000) % 3000
+        kinds = rng.choice(["view", "rollup", "range"], size=5000)
+        heap, scan = (
+            cls(decay=decay, max_elements=512)
+            for cls in (FingerprintTracker, MinScanTracker)
+        )
+        for kind, key in zip(kinds, keys):
+            heap.note_query(str(kind), (str(kind), int(key)))
+            scan.note_query(str(kind), (str(kind), int(key)))
+        assert scan.evicted_elements > 500
+        assert heap.evicted_elements == scan.evicted_elements
+        assert set(heap._elements) == set(scan._elements)
+        assert heap.fingerprint() == scan.fingerprint()
 
     def test_ingest_and_divergence_norms(self):
         tracker = FingerprintTracker(decay=1.0)

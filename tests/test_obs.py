@@ -236,6 +236,32 @@ class TestObservability:
         assert obs.registry.names() == ()
         assert obs.tracer.spans() == ()
 
+    def test_bound_handles_survive_reset(self):
+        obs = Observability()
+        cache = LRUCache(max_entries=4, registry=obs.registry, name="view_cache")
+        cache.put("a", 1)
+        cache.get("a")
+        cache.get("a")
+        obs.reset()
+        assert obs.registry.names() == ()
+        cache.get("a")
+        hits = obs.registry.get("view_cache_hits_total")
+        assert hits is not None and hits.value() == 1
+        assert "view_cache_hits_total" in obs.registry.snapshot()
+        # A name asked for again is the same handle, not a second series.
+        assert obs.registry.counter("view_cache_hits_total") is hits
+
+    def test_lazy_handles_list_on_first_write(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("lazy_total", "d", lazy=True)
+        assert registry.names() == ()
+        assert registry.counter("lazy_total", lazy=True) is counter
+        counter.inc(kind="view")
+        assert registry.names() == ("lazy_total",)
+        assert registry.counter("lazy_total") is counter
+        with pytest.raises(TypeError):
+            registry.gauge("lazy_total")
+
 
 class TestReporting:
     def _populated(self) -> Observability:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import server as server_module
 from repro.server import OLAPServer
 from repro.workloads import SalesConfig, generate_sales_records
 
@@ -190,6 +191,76 @@ class TestResultCache:
         assert assembly and all(
             "operations" in s.attributes for s in assembly
         )
+
+
+    def test_reset_then_hit_recounts_from_one(self, server):
+        server.view(["store"])
+        server.view(["store"])
+        server.obs.reset()
+        assert server.metrics.names() == ()
+        server.view(["store"])
+        assert server.metrics.get("view_cache_hits_total").value() == 1
+        assert server.metrics.get("server_queries_total").value(kind="view") == 1
+
+
+class TestRequestResolution:
+    def test_reordered_requests_share_one_element(self, server):
+        a = server._element_for(["store", "product"])
+        assert server._element_for(("product", "store")) is a
+        assert server._element_for(iter({"store", "product"})) is a
+        r = server._rollup_for({"day": 2, "store": 1})
+        assert server._rollup_for({"store": 1, "day": 2}) is r
+        assert server._rollup_for({"day": 2, "store": 1, "product": 0}) == r
+
+    @pytest.mark.parametrize(
+        "request_, error",
+        [
+            (("view", ["bogus"]), KeyError),
+            (("view", ["store", "bogus"]), KeyError),
+            (("rollup", {"bogus": 1}), KeyError),
+            (("rollup", {"day": 99}), ValueError),
+            (("rollup", {"day": -1}), ValueError),
+            (("rollup", {"day": "month"}), TypeError),
+            (("rollup", {"day": [1]}), TypeError),
+        ],
+    )
+    def test_invalid_requests_raise_every_time_uncached(
+        self, server, request_, error
+    ):
+        kind, arg = request_
+        resolve = server._element_for if kind == "view" else server._rollup_for
+        serve = server.view if kind == "view" else server.rollup
+        for _ in range(3):
+            with pytest.raises(error):
+                resolve(arg)
+            with pytest.raises(error):
+                serve(arg)
+        assert server._view_elements == {}
+        assert server._rollup_elements == {}
+
+    def test_memo_stays_within_its_bound(self, server, monkeypatch):
+        monkeypatch.setattr(server_module, "_RESOLVE_MEMO_ENTRIES", 3)
+        names = ["product", "store", "day"]
+        subsets = [
+            [n for bit, n in enumerate(names) if mask >> bit & 1]
+            for mask in range(8)
+        ]
+        for _ in range(2):
+            for dims in subsets:
+                view = server.view(dims)
+                aggregated = tuple(
+                    server.cube.dimensions.axis_of(n)
+                    for n in names
+                    if n not in dims
+                )
+                np.testing.assert_allclose(
+                    view,
+                    server.cube.values.sum(axis=aggregated, keepdims=True),
+                )
+                assert len(server._view_elements) <= 3
+            for k in range(4):
+                server.rollup({"day": k})
+                assert len(server._rollup_elements) <= 3
 
 
 class TestIncrementalUpdates:
