@@ -180,8 +180,7 @@ class ElementId:
         # ids tens of thousands of times (memo lookups) and reads their
         # volumes nearly as often.  Both are pure functions of the frozen
         # fields, so precompute them once; int-tuple hashes do not depend
-        # on PYTHONHASHSEED, so the cached hash survives pickling to the
-        # process-pool workers.
+        # on PYTHONHASHSEED, so the cached hash survives pickling.
         object.__setattr__(self, "_hash", hash((self.shape, self.nodes)))
         object.__setattr__(
             self,

@@ -6,8 +6,7 @@ Two export targets, both dependency-free:
   trace-event JSON format (``chrome://tracing`` / Perfetto ``Trace Event
   Format``).  Every finished span becomes one complete (``"ph": "X"``)
   event on a ``(pid, tid)`` lane, so a traced ``query_batch`` renders as a
-  scheduler lane plus one lane per pool worker thread and per process-pool
-  worker; span events (retries, fault injections) become instant events on
+  scheduler lane plus one lane per pool worker thread; span events (retries, fault injections) become instant events on
   the same lane.
 - :func:`prometheus_text` — the Prometheus text exposition format
   (version 0.0.4) for a :class:`~repro.obs.metrics.MetricsRegistry`:
@@ -46,8 +45,8 @@ def chrome_trace(tracer: Tracer, trace_id: int | None = None) -> dict:
     ``trace_id`` restricts the export to one trace (``None`` exports
     everything recorded).  Timestamps are microseconds on the span clock
     (``time.perf_counter``); lanes are ``(process_id, thread_id)`` pairs
-    with metadata events naming each thread, so the scheduler thread, pool
-    workers, and shared-memory process workers render as separate rows.
+    with metadata events naming each thread, so the scheduler thread and
+    pool workers render as separate rows.
     """
     spans = tracer.spans() if trace_id is None else tracer.trace(trace_id)
     return chrome_trace_from_spans(spans)

@@ -11,7 +11,8 @@ failure; this package holds the machinery that exercises and bounds it:
   corruption on a reproducible schedule.
 - :mod:`repro.resilience.deadline` — per-query/batch deadlines, propagated
   by contextvar so the DAG executor can observe them between node
-  dispatches without signature plumbing.
+  dispatches without signature plumbing, and the deadline-bounded retry
+  :func:`backoff` the server and shard layers share.
 - :mod:`repro.resilience.chaos` — the ``python -m repro chaos`` driver:
   replays a seeded fault plan against a workload on a live server and
   reports survival (every answer bit-identical to a fault-free run).
@@ -22,7 +23,13 @@ The error types these raise live in :mod:`repro.errors`.
 from __future__ import annotations
 
 from .chaos import ChaosConfig, render_report, run_chaos
-from .deadline import Deadline, check_deadline, current_deadline, deadline_scope
+from .deadline import (
+    Deadline,
+    backoff,
+    check_deadline,
+    current_deadline,
+    deadline_scope,
+)
 from .faults import (
     FaultInjector,
     FaultRule,
@@ -38,6 +45,7 @@ __all__ = [
     "FaultInjector",
     "FaultRule",
     "FiredFault",
+    "backoff",
     "check_deadline",
     "corrupt_array",
     "current_deadline",

@@ -23,7 +23,13 @@ from contextvars import ContextVar
 
 from ..errors import QueryTimeout
 
-__all__ = ["Deadline", "current_deadline", "deadline_scope", "check_deadline"]
+__all__ = [
+    "Deadline",
+    "backoff",
+    "current_deadline",
+    "deadline_scope",
+    "check_deadline",
+]
 
 
 class Deadline:
@@ -100,3 +106,19 @@ def check_deadline(site: str = "") -> None:
     deadline = _ACTIVE_DEADLINE.get()
     if deadline is not None:
         deadline.check(site)
+
+
+def backoff(attempt: int, base_ms: float, site: str) -> None:
+    """Sleep ``base_ms * 2**(attempt - 1)`` before retry ``attempt``.
+
+    The sleep is bounded by the ambient deadline, which is checked first
+    (raising :class:`QueryTimeout` labelled ``site`` once spent), so a
+    retry loop never sleeps past its caller's budget.
+    """
+    delay = (base_ms / 1e3) * (2 ** (attempt - 1))
+    deadline = _ACTIVE_DEADLINE.get()
+    if deadline is not None:
+        deadline.check(site)
+        delay = min(delay, max(0.0, deadline.remaining()))
+    if delay > 0:
+        time.sleep(delay)

@@ -111,11 +111,7 @@ from .obs.fingerprint import (
 from .obs.flight import BUNDLE_FORMAT, FlightRecorder, write_bundle
 from .obs.http import TelemetryServer
 from .obs.profile import query_profile
-from .resilience.deadline import (
-    Deadline,
-    current_deadline,
-    deadline_scope,
-)
+from .resilience.deadline import Deadline, backoff, deadline_scope
 from .resilience.faults import fault_point
 from .shard.partition import CubePartition
 from .shard.sets import ShardedSet
@@ -191,7 +187,6 @@ class OLAPServer:
         update_policy: str = "patch",
         durability: DurabilityConfig | str | Path | None = None,
         tuning: TuningConfig | None = None,
-        cache_capacity: int | None = None,
         pool_min_cells: int | None = None,
         pool_max_cells: int | None = None,
         alerts: AlertEngine | bool = True,
@@ -210,8 +205,8 @@ class OLAPServer:
         single source of truth for every performance knob (executor
         thresholds, buffer-pool floor/bound, cache capacity, default
         batch workers, retry budget).  The explicit keyword arguments
-        override their tuning counterparts: ``cache_capacity`` (alias of
-        ``cache_entries``), ``cache_cells``, ``pool_min_cells``,
+        override their tuning counterparts: ``cache_entries``,
+        ``cache_cells``, ``pool_min_cells``,
         ``pool_max_cells``, ``max_retries``, ``retry_backoff_ms``.  With
         neither, the historical defaults apply unchanged.  The effective
         profile is ``self.tuning`` and appears in :meth:`health` so a
@@ -259,16 +254,9 @@ class OLAPServer:
         (object or ``profiles.json`` path from ``repro tune``) lets
         :meth:`health` report the tuned profile nearest the live workload
         fingerprint."""
-        if cache_capacity is not None and cache_entries is not None:
-            raise ValueError(
-                "pass cache_capacity or cache_entries, not both "
-                "(they name the same result-cache bound)"
-            )
         base_tuning = tuning if tuning is not None else DEFAULT_TUNING
         overrides: dict = {}
-        if cache_capacity is not None:
-            overrides["cache_entries"] = int(cache_capacity)
-        elif cache_entries is not None:
+        if cache_entries is not None:
             overrides["cache_entries"] = int(cache_entries)
         if cache_cells is not None:
             overrides["cache_cells"] = int(cache_cells)
@@ -578,16 +566,6 @@ class OLAPServer:
                         outcome, latency_ms, degraded=flags["degraded"]
                     )
 
-    def _backoff(self, attempt: int) -> None:
-        """Exponential backoff bounded by the remaining deadline."""
-        delay = (self.retry_backoff_ms / 1e3) * (2 ** (attempt - 1))
-        deadline = current_deadline()
-        if deadline is not None:
-            deadline.check("server.retry")
-            delay = min(delay, max(0.0, deadline.remaining()))
-        if delay > 0:
-            time.sleep(delay)
-
     def _note_retry(self, attempt: int) -> None:
         self.metrics.counter(
             "server_retries_total", "transient-fault retries performed"
@@ -637,7 +615,7 @@ class OLAPServer:
                 self._note_retry(attempt)
                 if attempt > self.max_retries:
                     raise
-                self._backoff(attempt)
+                backoff(attempt, self.retry_backoff_ms, "server.retry")
             except IncompleteSetError:
                 if not self.degrade_to_base:
                     raise
@@ -655,9 +633,7 @@ class OLAPServer:
         missing: Sequence[ElementId],
         counter: OpCounter,
         max_workers: int,
-        backend: str = "thread",
         dispatch_threshold: int | None = None,
-        process_threshold: int | None = None,
     ) -> dict[ElementId, np.ndarray]:
         """Batch analogue of :meth:`_assemble_resilient`.
 
@@ -676,9 +652,7 @@ class OLAPServer:
                     missing,
                     counter=scratch,
                     max_workers=max_workers,
-                    backend=backend,
                     dispatch_threshold=dispatch_threshold,
-                    process_threshold=process_threshold,
                 )
                 counter.merge(scratch)
                 return results
@@ -687,7 +661,7 @@ class OLAPServer:
                 self._note_retry(attempt)
                 if attempt > self.max_retries:
                     break
-                self._backoff(attempt)
+                backoff(attempt, self.retry_backoff_ms, "server.retry")
             except IncompleteSetError:
                 if not self.degrade_to_base:
                     raise
@@ -771,9 +745,7 @@ class OLAPServer:
         requests: Sequence[Iterable[str]],
         max_workers: int | None = None,
         deadline_ms: float | None = None,
-        backend: str = "thread",
         dispatch_threshold: int | None = None,
-        process_threshold: int | None = None,
     ) -> list[np.ndarray]:
         """Serve several aggregated views as one shared assembly plan.
 
@@ -790,9 +762,8 @@ class OLAPServer:
         (4 out of the box) — safe for any batch size, because the
         executor's cost-aware dispatch demotes itself to serial unless
         some DAG node is actually worth a thread round-trip.
-        ``backend``/``dispatch_threshold``/``process_threshold`` pass
-        straight through to the DAG executor (see
-        :func:`repro.core.exec.execute_plan`).
+        ``dispatch_threshold`` passes straight through to the DAG
+        executor (see :func:`repro.core.exec.execute_plan`).
         """
         elements = [self._element_for(dims) for dims in requests]
         return self._serve_batch(
@@ -800,9 +771,7 @@ class OLAPServer:
             "view",
             max_workers,
             deadline_ms,
-            backend=backend,
             dispatch_threshold=dispatch_threshold,
-            process_threshold=process_threshold,
         )
 
     def rollup_batch(
@@ -810,14 +779,12 @@ class OLAPServer:
         levels_list: Sequence[Mapping[str, str | int]],
         max_workers: int | None = None,
         deadline_ms: float | None = None,
-        backend: str = "thread",
         dispatch_threshold: int | None = None,
-        process_threshold: int | None = None,
     ) -> list[np.ndarray]:
         """Serve several roll-ups as one shared assembly plan.
 
         Batch analogue of :meth:`rollup`; see :meth:`query_batch` for the
-        executor passthrough arguments.
+        executor passthrough argument.
         """
         elements = [self._rollup_for(levels) for levels in levels_list]
         return self._serve_batch(
@@ -825,9 +792,7 @@ class OLAPServer:
             "rollup",
             max_workers,
             deadline_ms,
-            backend=backend,
             dispatch_threshold=dispatch_threshold,
-            process_threshold=process_threshold,
         )
 
     def _cache_get(self, state: _ServingState, key):
@@ -881,9 +846,7 @@ class OLAPServer:
         kind: str,
         max_workers: int | None,
         deadline_ms: float | None = None,
-        backend: str = "thread",
         dispatch_threshold: int | None = None,
-        process_threshold: int | None = None,
     ) -> list[np.ndarray]:
         """Serve a batch of elements through one shared plan.
 
@@ -917,9 +880,7 @@ class OLAPServer:
                     missing,
                     counter,
                     max_workers,
-                    backend=backend,
                     dispatch_threshold=dispatch_threshold,
-                    process_threshold=process_threshold,
                 )
                 for element, values in assembled.items():
                     state.cache.put((element, state.epoch), values)
@@ -961,7 +922,7 @@ class OLAPServer:
                     self._note_retry(attempt)
                     if attempt > self.max_retries:
                         raise
-                    self._backoff(attempt)
+                    backoff(attempt, self.retry_backoff_ms, "server.retry")
                 except IncompleteSetError:
                     if not self.degrade_to_base:
                         raise

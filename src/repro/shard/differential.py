@@ -3,12 +3,14 @@
 Replays one deterministic workload — views, shared-plan batches, rollups,
 range sums, point cells, an in-place update, and a mid-run
 ``reconfigure()`` — against a monolithic :class:`~repro.server.OLAPServer`
-and against sharded servers (``--shards`` counts, thread or process
-backend), comparing every answer **byte for byte**.  The cube is
-integer-valued, so each comparison is meaningful on any shard axis: the
-scatter–gather merge must be *exactly* the monolithic cascade, not merely
-close.  The CI shard-smoke job runs this with ``--check`` on both
-backends.
+and against sharded servers (``--shards`` counts), comparing every answer
+**byte for byte**.  The cube is integer-valued, so each comparison is
+meaningful on any shard axis: the scatter–gather merge must be *exactly*
+the monolithic cascade, not merely close.  Batches force pool dispatch
+(``dispatch_threshold=0``): the gate's cube is far below the default
+threshold, so without it every batch would demote to serial and the
+thread pool would go unchecked.  The CI shard-smoke job runs this with
+``--check``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ class DifferentialConfig:
     seed: int = 11
     sizes: tuple[int, ...] = (8, 16, 16)
     shard_counts: tuple[int, ...] = (1, 2, 4)
-    backend: str = "thread"
     workers: int = 2
 
 
@@ -61,13 +62,12 @@ def _workload(server: "OLAPServer", config: DifferentialConfig) -> list:
     """Deterministic answers; every entry is bytes or a float."""
     rng = np.random.default_rng(config.seed + 1)
     names = [f"d{i}" for i in range(len(config.sizes))]
-    backend = config.backend
     workers = config.workers
     answers: list = []
 
     def batch(requests):
         results = server.query_batch(
-            requests, max_workers=workers, backend=backend
+            requests, max_workers=workers, dispatch_threshold=0
         )
         answers.extend(a.tobytes() for a in results)
 
@@ -88,7 +88,7 @@ def _workload(server: "OLAPServer", config: DifferentialConfig) -> list:
     answers.extend(
         a.tobytes()
         for a in server.rollup_batch(
-            rollup_levels, max_workers=workers, backend=backend
+            rollup_levels, max_workers=workers, dispatch_threshold=0
         )
     )
     # Range sums: boundary-crossing, non-dyadic endpoints.
@@ -140,7 +140,6 @@ def run_differential(config: DifferentialConfig | None = None) -> dict:
     return {
         "seed": config.seed,
         "sizes": list(config.sizes),
-        "backend": config.backend,
         "workers": config.workers,
         "operations": len(reference),
         "runs": runs,
@@ -150,7 +149,7 @@ def run_differential(config: DifferentialConfig | None = None) -> dict:
 
 def render_report(report: dict) -> str:
     lines = [
-        f"shard differential: backend={report['backend']} "
+        f"shard differential: workers={report['workers']} "
         f"sizes={tuple(report['sizes'])} seed={report['seed']}"
     ]
     for run in report["runs"]:

@@ -15,12 +15,12 @@ A batch is served in three phases:
    all shards store the same projected selection, so planning cost is
    paid once, not ``S`` times).
 2. **Scatter** — each shard runs the plan against its own snapshot with
-   :func:`~repro.core.exec.execute_plan` (thread or shared-memory process
-   backend, shard-tagged span lanes, per-shard ``OpCounter``).  A shard
-   whose signature cannot reach the targets — a quarantined array, a
-   mid-migration divergence — falls back to recomputing its local targets
-   from its base slab: degradation is *per shard*, the other shards still
-   serve from their materialized elements.
+   :func:`~repro.core.exec.execute_plan` (shard-tagged span lanes,
+   per-shard ``OpCounter``).  A shard whose signature cannot reach the
+   targets — a quarantined array, a mid-migration divergence — falls back
+   to recomputing its local targets from its base slab: degradation is
+   *per shard*, the other shards still serve from their materialized
+   elements.
 3. **Gather** — per target, the local results are concatenated along the
    shard axis into a pooled buffer and the cross-shard merge cascade
    (:meth:`CubePartition.merge_steps`) runs as one fused kernel.  The
@@ -53,7 +53,7 @@ from ..core.materialize import MaterializedSet, compute_element
 from ..core.operators import OpCounter
 from ..errors import IncompleteSetError, TransientFault
 from ..obs import current_registry, log_event, span
-from ..resilience import check_deadline, current_deadline, fault_point
+from ..resilience import backoff, check_deadline, fault_point
 from .partition import CubePartition
 
 __all__ = ["ShardedSet"]
@@ -299,9 +299,7 @@ class ShardedSet:
         counter: OpCounter | None = None,
         max_workers: int = 1,
         cost_memo: dict | None = None,
-        backend: str = "thread",
         dispatch_threshold: int | None = None,
-        process_threshold: int | None = None,
     ) -> dict[ElementId, np.ndarray]:
         """Scatter the batch to every shard, merge the partials exactly."""
         ordered = list(dict.fromkeys(targets))
@@ -334,13 +332,11 @@ class ShardedSet:
                     counters[s],
                     degraded,
                     max_workers=workers,
-                    backend=backend,
                     dispatch_threshold=dispatch_threshold,
-                    process_threshold=process_threshold,
                 )
 
             partials: list[dict] = [None] * s_count  # type: ignore[list-item]
-            if backend == "thread" and max_workers > 1 and s_count > 1:
+            if max_workers > 1 and s_count > 1:
                 lanes = min(s_count, max_workers)
                 inner = max(1, max_workers // s_count)
                 with ThreadPoolExecutor(max_workers=lanes) as pool:
@@ -452,9 +448,7 @@ class ShardedSet:
         degraded: list,
         *,
         max_workers: int,
-        backend: str,
         dispatch_threshold: int | None,
-        process_threshold: int | None,
     ) -> dict[ElementId, np.ndarray]:
         """One scatter leg: retries, then per-shard degraded fallback."""
         registry = current_registry()
@@ -481,9 +475,7 @@ class ShardedSet:
                             snapshot,
                             counter=scratch,
                             max_workers=max_workers,
-                            backend=backend,
                             dispatch_threshold=dispatch_threshold,
-                            process_threshold=process_threshold,
                             pool=self._shards[s].pool,
                             span_attrs={"shard": s},
                             tuning=self._tuning,
@@ -498,7 +490,7 @@ class ShardedSet:
                         ).inc(shard=str(s))
                         if attempt > self.max_retries:
                             break
-                        self._backoff(attempt)
+                        backoff(attempt, self.retry_backoff_ms, "shard.retry")
                 return self._degraded_shard(s, local_targets, counter)
         finally:
             in_flight.inc(-1.0, shard=str(s))
@@ -553,15 +545,6 @@ class ShardedSet:
         merged = fused_cascade(buf, list(steps), counter=counter, pool=self._pool)
         self._pool.give(buf)
         return merged
-
-    def _backoff(self, attempt: int) -> None:
-        delay = (self.retry_backoff_ms / 1e3) * (2 ** (attempt - 1))
-        deadline = current_deadline()
-        if deadline is not None:
-            deadline.check("shard.retry")
-            delay = min(delay, max(0.0, deadline.remaining()))
-        if delay > 0:
-            time.sleep(delay)
 
     # ------------------------------------------------------------------
     # Reconfiguration
@@ -661,7 +644,7 @@ class ShardedSet:
                 ).inc(shard=str(s))
                 if attempt > self.max_retries:
                     break
-                self._backoff(attempt)
+                backoff(attempt, self.retry_backoff_ms, "shard.retry")
             except IncompleteSetError:
                 break
         slab = self._base_slabs[s]

@@ -1,7 +1,7 @@
 """Shard-vs-monolith differential harness: byte-identity of serving.
 
 The merge-exactness invariant under test: for every (dims, dtype, shard
-count, backend) combination, scatter–gather assembly over
+count, dispatch) combination, scatter–gather assembly over
 :class:`~repro.shard.ShardedSet` returns **bit-identical** bytes to
 monolithic :class:`~repro.core.materialize.MaterializedSet` assembly —
 integer-valued cubes on any shard axis, float cubes on the last-dimension
@@ -26,6 +26,11 @@ from repro.cube.datacube import DataCube
 from repro.cube.dimensions import Dimension
 from repro.server import OLAPServer
 from repro.shard import CubePartition, ShardedSet, shard_axis_for
+from repro.shard.differential import (
+    DifferentialConfig,
+    _build_server,
+    _workload,
+)
 
 
 def all_group_bys(shape: CubeShape):
@@ -253,7 +258,7 @@ class TestOpAccounting:
 
 
 class TestServerDifferential:
-    """Server layer: point/range/rollup/batch, thread + process backends."""
+    """Server layer: point/range/rollup/batch, serial and pooled dispatch."""
 
     @staticmethod
     def _server(seed, sizes, **kwargs):
@@ -297,8 +302,13 @@ class TestServerDifferential:
             assert sharded.cell(**cell) == expected_cell
 
     @pytest.mark.parametrize("shards", [2, 4])
-    def test_process_backend_serving_bit_identical(self, shards):
-        """Force the shared-memory tier (process_threshold=1) and compare."""
+    def test_thread_dispatch_serving_bit_identical(self, shards):
+        """Force pool dispatch on every shard leg and compare to monolithic.
+
+        ``dispatch_threshold=0`` keeps the tiny cube from demoting to
+        serial, and ``max_workers = 2 x shards`` gives each leg two pool
+        workers of its own.
+        """
         sizes = (4, 8, 8)
         mono = self._server(3, sizes)
         requests = [[], ["d0"], ["d1"], ["d0", "d2"]]
@@ -307,13 +317,23 @@ class TestServerDifferential:
         actual = [
             a.tobytes()
             for a in sharded.query_batch(
-                requests,
-                max_workers=2,
-                backend="process",
-                process_threshold=1,
+                requests, max_workers=2 * shards, dispatch_threshold=0
             )
         ]
         assert actual == expected
+        spans = sharded.tracer.trace()
+        execs = [s for s in spans if s.name == "exec.execute"]
+        assert sorted(s.attributes["shard"] for s in execs) == list(
+            range(shards)
+        )
+        assert all(s.attributes["workers_effective"] == 2 for s in execs)
+        # Thread names, not ids: an exited pool thread's id can be reused
+        # by a lane thread started after it, but every executor numbers
+        # its threads' names afresh.
+        leg_threads = {s.thread_name for s in execs}
+        nodes = [s for s in spans if s.name == "exec.node"]
+        assert nodes
+        assert all(s.thread_name not in leg_threads for s in nodes)
 
     def test_batch_yields_one_connected_trace_with_shard_lanes(self):
         server = self._server(5, (8, 8, 8), shards=2)
@@ -339,3 +359,15 @@ class TestServerDifferential:
         assert all(entry["quarantined"] == 0 for entry in shards["per_shard"])
         # Monolithic servers have no shards section.
         assert "shards" not in self._server(5, (8, 8)).health()
+
+
+class TestDifferentialGate:
+    def test_monolithic_layout_runs_nodes_on_the_pool(self):
+        """The gate's cube sits below the default dispatch threshold, so
+        only its forced ``dispatch_threshold=0`` keeps the thread pool
+        under test."""
+        config = DifferentialConfig()
+        server = _build_server(config)
+        _workload(server, config)
+        execs = server.tracer.spans("exec.execute")
+        assert any(s.attributes["workers_effective"] > 1 for s in execs)

@@ -108,14 +108,10 @@ class TestServerThreading:
         assert tuning == server.tuning.to_dict()
 
     def test_ctor_overrides_surface_in_health(self):
-        server = make_server(cache_capacity=7, pool_max_cells=1 << 12)
+        server = make_server(cache_entries=7, pool_max_cells=1 << 12)
         tuning = server.health()["tuning"]
         assert tuning["cache_entries"] == 7
         assert tuning["pool_max_cells"] == 1 << 12
-
-    def test_cache_capacity_conflict_rejected(self):
-        with pytest.raises(ValueError, match="cache_capacity"):
-            make_server(cache_capacity=7, cache_entries=9)
 
     def test_default_profile_serves_bit_identically(self):
         explicit = make_server(tuning=DEFAULT_TUNING)
