@@ -9,17 +9,20 @@ cell whose dyadic block contains the coordinate — with a sign of
 half)``.  Nothing else moves, so a materialized element, a cached
 assembled view, or an on-demand range intermediate can all be *patched*
 in O(1) per update cell instead of recomputed, and a batch of ``n``
-deltas costs O(n · depth) per element with vectorized bit arithmetic.
+deltas costs O(n · d) per element with vectorized bit arithmetic.
 
 This module is the single home of that math.  It is consumed by
 
 - :meth:`repro.core.materialize.MaterializedSet.apply_updates` (stored
   element arrays),
-- :meth:`repro.core.range_query.RangeQueryEngine.apply_updates`
-  (on-demand assembled range intermediates),
 - :meth:`repro.server.OLAPServer.update_many` (cached assembled query
   answers), and
 - :meth:`repro.shard.sets.ShardedSet.apply_updates` (per-shard routing).
+
+:meth:`repro.core.range_query.RangeQueryEngine.apply_updates` uses only
+the partial-sum special case (no residual steps: cell ``coord >> level``,
+sign ``+1``) and patches all of its cached intermediates with one flat
+scatter over its arena instead of one :func:`patch_array` per element.
 
 :func:`dyadic_scope` computes the *dyadic subtree* an update batch
 touches per axis — the ``(level, position)`` nodes whose blocks contain
@@ -76,8 +79,12 @@ def delta_cells(
     """Vectorized :func:`delta_cell` for an ``(n, d)`` coordinate batch.
 
     Returns ``(cells, signs)`` — an ``(n, d)`` int array of touched
-    element cells and an ``(n,)`` float array of signs — in O(n · depth)
-    numpy bit arithmetic.
+    element cells and an ``(n,)`` float array of signs.  Closed form of
+    the bit walk: the touched cell is ``coord >> level`` per axis, and
+    step ``s`` of the walk pairs coordinate bit ``s`` with index bit
+    ``level - 1 - s``, so the sign is the parity of ``coord &
+    reversed(index)`` (the index's low ``level`` bits reversed) summed
+    over the axes.
     """
     coordinates = np.asarray(coordinates, dtype=np.int64)
     if coordinates.ndim != 2 or coordinates.shape[1] != element.shape.ndim:
@@ -85,17 +92,35 @@ def delta_cells(
             f"coordinates must be (n, {element.shape.ndim}); "
             f"got {coordinates.shape}"
         )
-    signs = np.ones(coordinates.shape[0], dtype=np.float64)
     cells = np.empty_like(coordinates)
+    odd = None
+    width = 0
     for m, (level, index) in enumerate(element.nodes):
-        position = coordinates[:, m].copy()
-        for step in range(level):
-            bit = (index >> (level - 1 - step)) & 1
-            if bit:
-                signs = np.where(position & 1, -signs, signs)
-            position >>= 1
-        cells[:, m] = position
-    return cells, signs
+        column = coordinates[:, m]
+        cells[:, m] = column >> level
+        mask = _reversed_bits(index, level)
+        if mask:
+            # parity(a) ^ parity(b) == parity(a ^ b): fold the axes first.
+            odd = column & mask if odd is None else odd ^ (column & mask)
+            width = max(width, level)
+    if odd is None:
+        return cells, np.ones(coordinates.shape[0], dtype=np.float64)
+    shift = 1
+    while shift < width:
+        # Prefix-XOR fold: bit 0 ends up holding the parity of the low
+        # ``width`` bits (no ``np.bitwise_count`` before numpy 2.0).
+        odd ^= odd >> shift
+        shift <<= 1
+    return cells, 1.0 - 2.0 * (odd & 1)
+
+
+def _reversed_bits(index: int, level: int) -> int:
+    """``index``'s low ``level`` bits in reverse order."""
+    reversed_index = 0
+    for _ in range(level):
+        reversed_index = (reversed_index << 1) | (index & 1)
+        index >>= 1
+    return reversed_index
 
 
 def validate_coordinates(shape, coordinates: np.ndarray) -> np.ndarray:

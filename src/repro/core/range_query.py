@@ -17,18 +17,29 @@ single stored-cell read.
 Cost accounting counts one addition per extra cell summed; missing
 intermediate elements can either be assembled on demand (their assembly cost
 is counted) or the engine falls back to scanning the raw cube.
+
+On-demand intermediates live in one contiguous float64 *arena*: each
+assembled level combination is copied into its own slot (the Gaussian
+pyramid laid out flat) and the cache hands out C-contiguous views of the
+slots.  Every intermediate is a pure partial sum, so a cube-cell delta
+lands on cell ``coord >> level`` of each with sign ``+1``; one flat index
+``offset + sum_m (coord_m >> level_m) * stride_m`` per (slot, delta)
+patches the whole cache with a single ``np.add.at``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import itertools
+import mmap
+import sys
+import threading
 
 import numpy as np
 
 from ..errors import TransientFault
 from ..obs import current_registry, span
-from .delta import patch_array, validate_coordinates
+from .delta import validate_coordinates
 from .element import CubeShape, ElementId
 from .materialize import MaterializedSet
 from .operators import OpCounter
@@ -99,7 +110,18 @@ class RangeQueryEngine:
         raising :class:`KeyError` from the lookup."""
         self.materialized = materialized
         self.assemble_missing = assemble_missing
+        #: element -> C-contiguous view of its slot in ``_arena``.
         self._cache: dict[ElementId, np.ndarray] = {}
+        #: element -> offset of its slot; slots are bump-allocated.
+        self._slots: dict[ElementId, int] = {}
+        self._arena = np.empty(0, dtype=np.float64)
+        self._used = 0
+        #: ``(offsets, levels, strides)`` over the cached slots; rebuilt
+        #: lazily after the cache membership changes.
+        self._table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        #: Serializes arena growth, patches and invalidation, so a patch
+        #: never lands in an arena that a concurrent growth just copied.
+        self._lock = threading.Lock()
         #: levels -> intermediate ElementId; bounded by the
         #: ``prod(log2(n_m) + 1)`` level combinations of the cube.
         self._elements: dict[tuple[int, ...], ElementId] = {}
@@ -117,8 +139,19 @@ class RangeQueryEngine:
         stale when the underlying data changes.  This is the coarse
         fallback — a *linear* data change should go through
         :meth:`apply_updates`, which repairs the copies in place.
+        The arena's pages are kept for the re-assembly that follows,
+        unless a reader still holds a view into it: that reader keeps the
+        old slots alive and unchanged, and the next fill takes a new arena.
         """
-        self._cache.clear()
+        with self._lock:
+            self._cache.clear()
+            self._slots.clear()
+            self._used = 0
+            self._table = None
+            # Every view's base is the arena itself, so the only
+            # references left are ours and getrefcount's argument.
+            if sys.getrefcount(self._arena) > 2:
+                self._arena = np.empty(0, dtype=np.float64)
 
     def apply_updates(
         self,
@@ -131,8 +164,11 @@ class RangeQueryEngine:
         ``coordinates`` is an ``(n, d)`` batch of cube cells, ``deltas``
         the matching values added to them.  Each cached intermediate is a
         pure partial-sum element (no residual steps), so a delta lands on
-        exactly one cell per intermediate with sign ``+1``; the repair is
-        O(n) per cached array and the warm cache survives the update.
+        exactly one cell per intermediate with sign ``+1``.  The flat arena
+        index of every (slot, delta) pair is built at once and the whole
+        cache is repaired by one ``np.add.at`` scatter; within a slot the
+        deltas apply in batch order, so each cell sums them exactly as a
+        per-element patch would.  The warm cache survives the update.
         Stored elements are the owning set's job
         (:meth:`MaterializedSet.apply_updates`) — the engine's cache never
         holds them (:meth:`_ensure_intermediates` skips stored elements),
@@ -146,23 +182,107 @@ class RangeQueryEngine:
             raise ValueError(
                 f"deltas must be ({coordinates.shape[0]},); got {deltas.shape}"
             )
-        if not len(deltas) or not self._cache:
+        if not len(deltas):
             return 0
-        for element, values in self._cache.items():
-            patch_array(
-                element,
-                values,
-                coordinates,
-                deltas,
-                counter=counter,
+        with self._lock:
+            if not self._slots:
+                return 0
+            offsets, levels, strides = self._index_table()
+            index = np.repeat(offsets[:, None], len(deltas), axis=1)
+            for m in range(coordinates.shape[1]):
+                cells = coordinates[:, m] >> levels[:, m, None]
+                cells *= strides[:, m, None]
+                index += cells
+            np.add.at(
+                self._arena, index.ravel(), np.tile(deltas, len(offsets))
+            )
+        patched = len(offsets)
+        if counter is not None:
+            counter.add(
+                additions=len(deltas) * patched,
                 label="range intermediate patch",
             )
-        patched = len(self._cache)
         current_registry().counter(
             "range_intermediate_patched_total",
             "on-demand assembled intermediates repaired in place by deltas",
         ).inc(patched)
         return patched
+
+    def _index_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(offsets, levels, strides)`` of the cached slots (caller locks).
+
+        ``offsets`` is ``(k,)``; ``levels`` and the row-major element
+        ``strides`` are ``(k, d)``.
+        """
+        if self._table is None:
+            ndim = self.shape.ndim
+            offsets = np.fromiter(
+                self._slots.values(), dtype=np.int64, count=len(self._slots)
+            )
+            levels = np.array(
+                [[k for k, _ in element.nodes] for element in self._slots],
+                dtype=np.int64,
+            ).reshape(-1, ndim)
+            strides = np.array(
+                [
+                    np.cumprod((element.data_shape[1:] + (1,))[::-1])[::-1]
+                    for element in self._slots
+                ],
+                dtype=np.int64,
+            ).reshape(-1, ndim)
+            self._table = (offsets, levels, strides)
+        return self._table
+
+    def _install(
+        self, assembled: dict[ElementId, np.ndarray]
+    ) -> dict[ElementId, np.ndarray]:
+        """Copy assembled intermediates into arena slots; return their views.
+
+        Consumes ``assembled`` (each array is dropped once copied, so no
+        assembled array outlives its slot copy).  The arena grows
+        geometrically to fit what is cached; growth copies the used prefix
+        and re-points every cached view.  An element another thread
+        installed first keeps its slot.
+        """
+        with self._lock:
+            need = sum(
+                values.size
+                for element, values in assembled.items()
+                if element not in self._cache
+            )
+            if self._used + need > self._arena.size:
+                self._grow(self._used + need)
+            views = {}
+            while assembled:
+                element, values = assembled.popitem()
+                view = self._cache.get(element)
+                if view is None:
+                    start, stop = self._used, self._used + values.size
+                    view = self._arena[start:stop].reshape(values.shape)
+                    view[...] = values
+                    self._slots[element] = start
+                    self._cache[element] = view
+                    self._used = stop
+                    self._table = None
+                views[element] = view
+            return views
+
+    def _grow(self, required: int) -> None:
+        """Reallocate the arena to hold ``required`` cells (caller locks).
+
+        The arena is an anonymous mapping rather than a heap array: its
+        untouched tail costs no resident memory and a released arena goes
+        straight back to the OS instead of lingering in the malloc heap.
+        """
+        capacity = max(required, 2 * self._arena.size)
+        arena = np.frombuffer(mmap.mmap(-1, capacity * 8), dtype=np.float64)
+        arena[: self._used] = self._arena[: self._used]
+        for element, start in self._slots.items():
+            view = self._cache[element]
+            self._cache[element] = arena[start : start + view.size].reshape(
+                view.shape
+            )
+        self._arena = arena
 
     @classmethod
     def with_gaussian_pyramid(
@@ -226,8 +346,7 @@ class RangeQueryEngine:
             "intermediate elements assembled on demand",
         ).inc()
         values = self.materialized.assemble(element, counter=counter)
-        self._cache[element] = values
-        return values
+        return self._install({element: values})[element]
 
     @staticmethod
     def _publish_tally(tally: list[int]) -> None:
@@ -283,10 +402,11 @@ class RangeQueryEngine:
                 continue
             missing.append(element)
         if missing:
-            results = self.materialized.assemble_batch(
-                missing, counter=counter, max_workers=max_workers
+            self._install(
+                self.materialized.assemble_batch(
+                    missing, counter=counter, max_workers=max_workers
+                )
             )
-            self._cache.update(results)
         return missing
 
     def prefetch(

@@ -10,9 +10,15 @@ the server's patch-instead-of-clear update path.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import range_query as range_query_module
 from repro.core.delta import (
     delta_cell,
     delta_cells,
@@ -22,6 +28,7 @@ from repro.core.delta import (
 )
 from repro.core.element import CubeShape, ElementId
 from repro.core.materialize import MaterializedSet, compute_element
+from repro.core.operators import OpCounter
 from repro.core.range_query import RangeQueryEngine
 from repro.cube.datacube import DataCube
 from repro.cube.dimensions import Dimension
@@ -94,12 +101,40 @@ class TestDeltaCell:
         coords = np.stack(
             [rng.integers(0, n, size=16) for n in shape.sizes], axis=1
         )
-        for element in _all_elements(shape)[::3]:
+        for element in _all_elements(shape):
             cells, signs = delta_cells(element, coords)
             for row in range(coords.shape[0]):
                 cell, sign = delta_cell(element, tuple(coords[row]))
                 assert tuple(cells[row]) == cell
                 assert signs[row] == sign
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_closed_form_matches_bit_walk(self, data):
+        depths = data.draw(
+            st.lists(st.integers(0, 6), min_size=1, max_size=4), label="depths"
+        )
+        shape = CubeShape(tuple(1 << k for k in depths))
+        nodes = []
+        for depth in depths:
+            level = data.draw(st.integers(0, depth))
+            index = data.draw(st.integers(0, (1 << level) - 1))
+            nodes.append((level, index))
+        element = ElementId(shape, tuple(nodes))
+        rows = data.draw(
+            st.lists(
+                st.tuples(*[st.integers(0, n - 1) for n in shape.sizes]),
+                min_size=1,
+                max_size=12,
+            ),
+            label="coordinates",
+        )
+        cells, signs = delta_cells(element, np.array(rows, dtype=np.int64))
+        assert signs.dtype == np.float64
+        for row, coords in enumerate(rows):
+            cell, sign = delta_cell(element, coords)
+            assert tuple(cells[row]) == cell
+            assert signs[row] == sign
 
 
 class TestValidateAndScope:
@@ -264,6 +299,214 @@ class TestRangeEnginePatch:
         assert engine.apply_updates(np.empty((0, 2), dtype=np.int64), []) == 0
 
 
+def _reference_patch(reference, coords, deltas):
+    """The per-element patch loop the arena scatter replaces."""
+    for element, values in reference.items():
+        patch_array(element, values, coords, deltas)
+
+
+class _CountingAdd:
+    """Stands in for ``np.add`` and counts ``at`` scatters."""
+
+    def __init__(self):
+        self.at_calls = 0
+
+    def at(self, *args):
+        self.at_calls += 1
+        return np.add.at(*args)
+
+
+class _CountingNumpy:
+    """``numpy`` with a counting ``add``, for one module's globals."""
+
+    def __init__(self):
+        self.add = _CountingAdd()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+class TestRangeEngineArena:
+    """Cached intermediates live in one arena patched by one scatter."""
+
+    SHAPE = CubeShape((8, 16, 4))
+
+    def _engine(self, base):
+        materialized = MaterializedSet.from_cube(
+            base.copy(), [self.SHAPE.root()]
+        )
+        return RangeQueryEngine(materialized), materialized
+
+    def _batches(self, rng, float_data, count=4, rows=9):
+        for _ in range(count):
+            coords = np.stack(
+                [rng.integers(0, n, size=rows) for n in self.SHAPE.sizes],
+                axis=1,
+            )
+            # Duplicate coordinates within the batch: the same cell gets
+            # several deltas, which must land in batch order.
+            coords[-3:] = coords[0]
+            if float_data:
+                deltas = rng.lognormal(0.0, 4.0, size=rows) * rng.choice(
+                    [-1.0, 1.0], size=rows
+                )
+            else:
+                deltas = rng.integers(-9, 10, size=rows).astype(np.float64)
+            yield coords, deltas
+
+    @pytest.mark.parametrize("float_data", [False, True])
+    def test_bytes_equal_per_element_patch(self, float_data):
+        rng = np.random.default_rng(37)
+        if float_data:
+            # Mixed magnitudes: every addition rounds.
+            base = rng.lognormal(0.0, 3.0, size=self.SHAPE.sizes) * (
+                10.0 ** rng.integers(-6, 7, size=self.SHAPE.sizes)
+            )
+        else:
+            base = rng.integers(0, 50, size=self.SHAPE.sizes).astype(
+                np.float64
+            )
+        engine, _ = self._engine(base)
+        engine.prefetch([((0, 8), (0, 16), (0, 4)), ((1, 8), (1, 16), (1, 4))])
+        assert len(engine._cache) > 20
+        reference = {e: v.copy() for e, v in engine._cache.items()}
+        counting = _CountingNumpy()
+        for batch, (coords, deltas) in enumerate(
+            self._batches(rng, float_data)
+        ):
+            counter = OpCounter()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(range_query_module, "np", counting)
+                patched = engine.apply_updates(coords, deltas, counter=counter)
+            assert counting.add.at_calls == batch + 1
+            assert patched == len(reference)
+            assert counter.total == len(deltas) * len(reference)
+            _reference_patch(reference, coords, deltas)
+            assert set(engine._cache) == set(reference)
+            for element, values in reference.items():
+                assert engine._cache[element].tobytes() == values.tobytes()
+
+    def test_growth_mid_stream_repoints_views(self):
+        rng = np.random.default_rng(41)
+        base = rng.integers(0, 50, size=self.SHAPE.sizes).astype(np.float64)
+        engine, materialized = self._engine(base)
+        engine.range_sum(((0, 2), (0, 2), (0, 2)))  # a partial cache
+        first, capacity = len(engine._cache), engine._arena.size
+        held = next(iter(engine._cache.values()))
+        batches = self._batches(rng, float_data=False)
+        for step in range(2):
+            coords, deltas = next(batches)
+            materialized.apply_updates(coords, deltas)
+            np.add.at(base, tuple(coords.T), deltas)
+            engine.apply_updates(coords, deltas)
+            if step == 0:
+                engine.range_sum(((1, 7), (3, 13), (1, 4)))
+                engine.range_sum(((0, 8), (1, 16), (0, 3)))
+        assert len(engine._cache) > first
+        assert engine._arena.size > capacity
+        for element, values in engine._cache.items():
+            assert values.flags.c_contiguous
+            assert np.shares_memory(values, engine._arena)
+            assert np.array_equal(values, compute_element(base, element))
+        # A view handed out before the growth still reads the old slot.
+        assert not np.shares_memory(held, engine._arena)
+
+    def test_invalidate_then_reassemble(self):
+        rng = np.random.default_rng(43)
+        base = rng.integers(0, 50, size=self.SHAPE.sizes).astype(np.float64)
+        engine, materialized = self._engine(base)
+        ranges = ((1, 7), (3, 13), (1, 4))
+        batches = self._batches(rng, float_data=False)
+
+        def update():
+            coords, deltas = next(batches)
+            materialized.apply_updates(coords, deltas)
+            np.add.at(base, tuple(coords.T), deltas)
+            return engine.apply_updates(coords, deltas)
+
+        engine.range_sum(ranges)
+        address = engine._arena.ctypes.data
+        engine.invalidate()
+        assert not engine._cache
+        assert update() == 0
+        assert engine.range_sum(ranges).value == base[1:7, 3:13, 1:4].sum()
+        # Nobody held a view, so the re-assembly refilled the same pages.
+        assert engine._arena.ctypes.data == address
+        assert update() == len(engine._cache)
+        for element, values in engine._cache.items():
+            assert np.array_equal(values, compute_element(base, element))
+
+        # A view held across invalidate() keeps its slot untouched.
+        held = next(iter(engine._cache.values()))
+        frozen = held.copy()
+        engine.invalidate()
+        engine.range_sum(ranges)
+        update()
+        assert not np.shares_memory(held, engine._arena)
+        assert held.tobytes() == frozen.tobytes()
+        for element, values in engine._cache.items():
+            assert np.array_equal(values, compute_element(base, element))
+
+    def test_patches_survive_concurrent_growth(self):
+        # One thread patches while another keeps installing intermediates
+        # (each arena growth copies the slots and re-points the views).  A
+        # patch that landed in an arena a growth had already copied would
+        # be lost; the slots cached before the race must end up exact.
+        shape = CubeShape((16, 64, 64))
+        rng = np.random.default_rng(59)
+        base = rng.integers(0, 50, size=shape.sizes).astype(np.float64)
+        engine = RangeQueryEngine(
+            MaterializedSet.from_cube(base.copy(), [shape.root()])
+        )
+        combos = [
+            (a, b, c)
+            for a in range(shape.depths[0] + 1)
+            for b in range(shape.depths[1] + 1)
+            for c in range(shape.depths[2] + 1)
+        ]
+        order = rng.permutation(len(combos))
+        for i in order[:4]:
+            engine.range_sum(tuple((0, 1 << k) for k in combos[i]))
+        before, capacity = dict(engine._cache), engine._arena.size
+        batches = []
+        for _ in range(300):
+            coords = np.stack(
+                [rng.integers(0, n, size=4) for n in shape.sizes], axis=1
+            )
+            batches.append((coords, rng.integers(-9, 10, size=4) * 1.0))
+
+        def patch():
+            for coords, deltas in batches:
+                engine.apply_updates(coords, deltas)
+
+        def grow():
+            for i in order[4:]:
+                engine.range_sum(tuple((0, 1 << k) for k in combos[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=patch),
+                threading.Thread(target=grow),
+                threading.Thread(target=patch),
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for coords, deltas in batches + batches:
+            np.add.at(base, tuple(coords.T), deltas)
+        for element in before:
+            assert np.array_equal(
+                engine._cache[element], compute_element(base, element)
+            )
+        assert engine._arena.size > capacity  # the race window existed
+
+
 class TestShardedBatchRouting:
     def _sharded(self, sizes=(8, 8), shards=4, seed=17):
         rng = np.random.default_rng(seed)
@@ -392,6 +635,61 @@ class TestServerUpdatePath:
         ref = base.copy()
         ref[1, 1] += 2.0
         assert np.array_equal(server.view(["d0"]).ravel(), ref.sum(axis=1))
+
+    def test_clear_policy_drops_intermediates_each_update(self):
+        server, base = _make_server(update_policy="clear")
+        ref = base.copy()
+        rng = np.random.default_rng(47)
+        for _ in range(3):
+            assert server.range_sum(((1, 7), (3, 13))) == ref[1:7, 3:13].sum()
+            assert server._state.range_engine._cache
+            coords = np.stack(
+                [rng.integers(0, n, size=5) for n in ref.shape], axis=1
+            )
+            deltas = rng.integers(-9, 10, size=5).astype(np.float64)
+            server.update_many(coords, deltas)
+            np.add.at(ref, tuple(coords.T), deltas)
+            assert not server._state.range_engine._cache
+        assert server.range_sum(((0, 8), (1, 16))) == ref[:, 1:].sum()
+
+    def test_sharded_range_answers_match_monolithic(self):
+        mono, base = _make_server(seed=31)
+        sharded, _ = _make_server(seed=31, shards=2)
+        ref = base.copy()
+        rng = np.random.default_rng(53)
+        probes = [((1, 7), (3, 13)), ((0, 8), (0, 16)), ((2, 5), (7, 16))]
+        for _ in range(4):
+            for probe in probes:
+                a = mono.range_sum(probe)
+                b = sharded.range_sum(probe)
+                assert np.float64(a).tobytes() == np.float64(b).tobytes()
+                lo, hi = zip(*probe)
+                assert a == ref[lo[0]:hi[0], lo[1]:hi[1]].sum()
+            coords = np.stack(
+                [rng.integers(0, n, size=6) for n in ref.shape], axis=1
+            )
+            coords[-1] = coords[0]
+            deltas = rng.integers(-9, 10, size=6).astype(np.float64)
+            mono.update_many(coords, deltas)
+            sharded.update_many(coords, deltas)
+            np.add.at(ref, tuple(coords.T), deltas)
+
+    @pytest.mark.parametrize("shards, expected", [(1, 33), (2, 36)])
+    def test_update_operation_count_is_pinned(self, shards, expected):
+        # len(deltas) additions per patched stored array, cache entry and
+        # cached intermediate: 3 x (1 + 2 + 8) monolithic, 3 x (1 + 2 + 9)
+        # sharded (the shard patch counts once).
+        server, _ = _make_server(shards=shards)
+        server.view(["d0"])
+        server.view(["d1"])
+        server.range_sum(((1, 7), (3, 13)))
+        server.range_sum(((0, 5), (2, 16)))
+        ops = server.metrics.counter("server_operations_total")
+        before = ops.total()
+        server.update_many(
+            np.array([[0, 0], [7, 15], [0, 0]]), [1.0, -2.0, 3.0]
+        )
+        assert ops.total() - before == expected
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="update_policy"):
